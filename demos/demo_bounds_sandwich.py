@@ -6,7 +6,7 @@ from minislot.bounds import block_density_samples, dt_upper_bound, is_lower_boun
 from minislot.channel import exponential_pdp
 from minislot.fbl import (
     DiffChannelParams,
-    diff_capacity_dispersion,
+    diff_quadrature_iv,
     fddi_correlation,
     normal_approx_bler,
     sample_diff_density,
@@ -20,7 +20,7 @@ gamma_db = 2.0
 params = DiffChannelParams(
     gamma=db_to_lin(gamma_db), rho=fddi_correlation(pdp, K), order=4
 )
-iv = diff_capacity_dispersion(params, 500_000, seed=5)
+iv = diff_quadrature_iv(params)
 sampler = lambda n, rng: sample_diff_density(params, n, rng)
 blocks = block_density_samples(sampler, N, 300_000, seed=6)
 

@@ -78,10 +78,13 @@ from .fbl import (
     ModelFidelityWarning,
     awgn_capacity_dispersion,
     coherent_capacity_dispersion,
+    coherent_quadrature_iv,
     diff_capacity_dispersion,
+    diff_quadrature_iv,
     diff_transition_logpdf,
     fddi_correlation,
     normal_approx_bler,
+    normal_approx_log_bler,
     sample_coherent_density,
     sample_diff_density,
     scheme_fbl,
@@ -129,8 +132,10 @@ __all__ = [
     # fbl
     "DiffChannelParams", "FblResult", "InfeasiblePayloadError", "IvEstimate",
     "ModelFidelityWarning", "awgn_capacity_dispersion",
-    "coherent_capacity_dispersion", "diff_capacity_dispersion",
+    "coherent_capacity_dispersion", "coherent_quadrature_iv",
+    "diff_capacity_dispersion", "diff_quadrature_iv",
     "diff_transition_logpdf", "fddi_correlation", "normal_approx_bler",
+    "normal_approx_log_bler",
     "sample_coherent_density", "sample_diff_density", "scheme_fbl",
     "tddi_correlation",
     # bounds

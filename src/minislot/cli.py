@@ -15,12 +15,15 @@ fdTs and gammaDb accept a scalar or a finite ascending list; M accepts one
 order or a per-scheme mapping. CLI flags override individual fields, and the
 master seed resolves as --seed flag > FBL_SEED environment variable > config.
 
-Every row derives its Monte Carlo substream from (master seed, scheme,
-gammaDb) and deliberately not from fdTs: differential-in-frequency rows are
-then bit-identical across the Doppler sweep (their channel correlation never
-depended on it), and the other schemes see common random numbers along the
-Doppler axis. Sweep points run sequentially in scenario order, so output is
-deterministic byte for byte given (scenario, seed).
+(I, V) and the normal approximation come from deterministic quadrature, so
+every NA column, `select` and `crossover` are functions of the operating
+point alone: FDDi rows are bit-identical across the Doppler sweep because
+their channel correlation never depends on fdTs. nSamples and the seed only
+set the Monte Carlo IS/DT bounds: each row draws its nSamples blocks from a
+substream keyed on (master seed, scheme, gammaDb) and deliberately not on
+fdTs, so the bounds see common random numbers along the Doppler axis. Sweep
+points run sequentially in scenario order, so output is deterministic byte
+for byte given (scenario, seed).
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -48,7 +51,9 @@ from .fbl import (
     scheme_fbl,
     tddi_correlation,
 )
-from .grid import FDDI, PA, SCHEMES, TDDI, MiniSlotGrid, default_constellation, standard_pattern
+from .grid import (
+    FDDI, PA, SCHEMES, TDDI, MiniSlotGrid, default_constellation, qam, standard_pattern,
+)
 
 __all__ = ["ConfigError", "Scenario", "Recommendation",
            "run_sweep", "select_scheme", "doppler_crossover", "selftest", "main"]
@@ -113,6 +118,10 @@ class Scenario:
             object.__setattr__(
                 self, "orders", {s: int(self.orders) for s in SCHEMES}
             )
+        for s in self.schemes:
+            m = self.orders[s]
+            if m < 2 or m & (m - 1):
+                raise ConfigError(f"M for {s} must be a power of two >= 2, got {m}")
         if self.n_info_bits < 1:
             raise ConfigError("B must be >= 1")
         if self.n_samples < 10_000:
@@ -131,37 +140,41 @@ class Scenario:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        if "K" in doc:
-            kwargs["n_subcarriers"] = int(doc["K"])
-        if "T" in doc:
-            kwargs["n_symbols"] = int(doc["T"])
-        if "deltaSub" in doc:
-            kwargs["delta_sub"] = int(doc["deltaSub"])
-        if "highMobility" in doc:
-            kwargs["high_mobility"] = bool(doc["highMobility"])
-        if "pdp" in doc:
-            pdp = doc["pdp"]
-            kwargs["pdp_taps"] = int(pdp.get("L", 5))
-            kwargs["pdp_decay"] = float(pdp.get("decay", 1.0))
-        if "fdTs" in doc:
-            kwargs["fd_ts"] = doc["fdTs"]
-        if "gammaDb" in doc:
-            kwargs["gamma_db"] = doc["gammaDb"]
-        if "B" in doc:
-            kwargs["n_info_bits"] = int(doc["B"])
-        if "M" in doc:
-            m = doc["M"]
-            kwargs["orders"] = (
-                {k: int(v) for k, v in m.items()} if isinstance(m, dict) else int(m)
-            )
-        if "schemes" in doc:
-            kwargs["schemes"] = tuple(doc["schemes"])
-        if "nSamples" in doc:
-            kwargs["n_samples"] = int(doc["nSamples"])
-        if "seed" in doc:
-            kwargs["seed"] = int(doc["seed"])
         try:
+            kwargs = {}
+            if "K" in doc:
+                kwargs["n_subcarriers"] = int(doc["K"])
+            if "T" in doc:
+                kwargs["n_symbols"] = int(doc["T"])
+            if "deltaSub" in doc:
+                kwargs["delta_sub"] = int(doc["deltaSub"])
+            if "highMobility" in doc:
+                if not isinstance(doc["highMobility"], bool):
+                    raise ConfigError("highMobility must be true or false")
+                kwargs["high_mobility"] = doc["highMobility"]
+            if "pdp" in doc:
+                pdp = doc["pdp"]
+                if not isinstance(pdp, dict):
+                    raise ConfigError("pdp must be an object with L and decay")
+                kwargs["pdp_taps"] = int(pdp.get("L", 5))
+                kwargs["pdp_decay"] = float(pdp.get("decay", 1.0))
+            if "fdTs" in doc:
+                kwargs["fd_ts"] = doc["fdTs"]
+            if "gammaDb" in doc:
+                kwargs["gamma_db"] = doc["gammaDb"]
+            if "B" in doc:
+                kwargs["n_info_bits"] = int(doc["B"])
+            if "M" in doc:
+                m = doc["M"]
+                kwargs["orders"] = (
+                    {k: int(v) for k, v in m.items()} if isinstance(m, dict) else int(m)
+                )
+            if "schemes" in doc:
+                kwargs["schemes"] = tuple(doc["schemes"])
+            if "nSamples" in doc:
+                kwargs["n_samples"] = int(doc["nSamples"])
+            if "seed" in doc:
+                kwargs["seed"] = int(doc["seed"])
             return cls(**kwargs)
         except ConfigError:
             raise
@@ -183,13 +196,18 @@ class Scenario:
         return grid, pdp
 
 
-def _row_seeds(master: int, scheme: str, gamma_db: float):
-    """Per-row substreams keyed on (seed, scheme, gammaDb) but never fdTs."""
+def _bound_seed(master: int, scheme: str, gamma_db: float):
+    """Bound substream keyed on (seed, scheme, gammaDb) but never fdTs.
+
+    It is the second child of the row's SeedSequence. The first is left
+    unused so that a seed's bound columns match those of earlier versions,
+    whose first child seeded a Monte Carlo (I, V).
+    """
     gamma_key = int(round(gamma_db * 1e6)) + 10 ** 9  # nonnegative entropy word
     if gamma_key < 0:
         raise ConfigError(f"gammaDb={gamma_db} out of supported range")
     ss = np.random.SeedSequence([int(master), SCHEMES.index(scheme), gamma_key])
-    return ss.spawn(2)
+    return ss.spawn(2)[1]
 
 
 def _density_sampler(scheme: str, scenario: Scenario, grid, pdp, fd: float,
@@ -230,7 +248,7 @@ def run_sweep(scenario: Scenario, output_path=None, include_bounds: bool = False
     for scheme in scenario.schemes:
         order = scenario.orders[scheme]
         for gamma_db in scenario.gamma_db:
-            iv_seed, bound_seed = _row_seeds(scenario.seed, scheme, gamma_db)
+            bound_seed = _bound_seed(scenario.seed, scheme, gamma_db)
             gamma = db_to_lin(gamma_db)
             for fd in scenario.fd_ts:
                 cells = {c: "" for c in CSV_COLUMNS}
@@ -243,7 +261,6 @@ def run_sweep(scenario: Scenario, output_path=None, include_bounds: bool = False
                     res = scheme_fbl(
                         scheme, grid, pdp, DopplerSpec(fd), gamma,
                         scenario.n_info_bits, order,
-                        n_samples=scenario.n_samples, seed=iv_seed,
                     )
                 except InfeasiblePayloadError:
                     from .grid import data_symbol_count
@@ -293,12 +310,14 @@ class Recommendation:
     rationale: str
     ranked: tuple  # of (scheme, epsilon) pairs, best first
     excluded: tuple  # schemes whose payload did not fit
+    log_epsilon: dict = field(default_factory=dict)  # scheme -> ln epsilon
 
     def to_dict(self) -> dict:
         return {
             "chosen": self.chosen,
             "rationale": self.rationale,
-            "ranked": [{"scheme": s, "epsilon": e} for s, e in self.ranked],
+            "ranked": [{"scheme": s, "epsilon": e, "logEpsilon": self.log_epsilon.get(s)}
+                       for s, e in self.ranked],
             "excluded": list(self.excluded),
         }
 
@@ -312,10 +331,12 @@ def _single_point(scenario: Scenario):
 def select_scheme(scenario: Scenario) -> Recommendation:
     """Rank the requested schemes by predicted BLER at one operating point.
 
-    Ties break FDDi > PA > TDDi (lower reference overhead first). The
-    rationale names the dominant factor: payload when a scheme was excluded
-    for rate > 1, Doppler when the pilot-assisted effective-SNR penalty
-    exceeds 1 dB, overhead otherwise.
+    The ranking compares ln epsilon, which stays finite where epsilon
+    underflows to 0 (normal-approximation arguments past about 38). Ties
+    break FDDi > PA > TDDi (lower reference overhead first). The rationale
+    names the dominant factor: payload when a scheme was excluded for
+    rate > 1, Doppler when the pilot-assisted effective-SNR penalty exceeds
+    1 dB, overhead otherwise.
     """
     fd, gamma_db = _single_point(scenario)
     grid, pdp = scenario.build()
@@ -323,22 +344,18 @@ def select_scheme(scenario: Scenario) -> Recommendation:
     results = {}
     excluded = []
     for scheme in scenario.schemes:
-        iv_seed, _ = _row_seeds(scenario.seed, scheme, gamma_db)
         try:
             results[scheme] = scheme_fbl(
                 scheme, grid, pdp, DopplerSpec(fd), gamma,
                 scenario.n_info_bits, scenario.orders[scheme],
-                n_samples=scenario.n_samples, seed=iv_seed,
             )
         except InfeasiblePayloadError:
             excluded.append(scheme)
     if not results:
         raise ConfigError("payload infeasible for every requested scheme")
-    ranked = sorted(
-        ((s, r.epsilon) for s, r in results.items()),
-        key=lambda it: (it[1], _TIE_ORDER[it[0]]),
-    )
-    chosen = ranked[0][0]
+    best_first = sorted(results, key=lambda s: (results[s].log_epsilon, _TIE_ORDER[s]))
+    ranked = [(s, results[s].epsilon) for s in best_first]
+    chosen = best_first[0]
     if excluded:
         rationale = (
             f"payload: B={scenario.n_info_bits} does not fit "
@@ -362,6 +379,7 @@ def select_scheme(scenario: Scenario) -> Recommendation:
     return Recommendation(
         chosen=chosen, rationale=rationale, ranked=tuple(ranked),
         excluded=tuple(excluded),
+        log_epsilon={s: results[s].log_epsilon for s in best_first},
     )
 
 
@@ -369,8 +387,9 @@ def doppler_crossover(scenario: Scenario) -> dict:
     """Locate the smallest fdTs where the two schemes' BLER ordering flips.
 
     Runs the normal-approximation curves over the ascending fdTs sweep at a
-    single gammaDb. No flip returns crossover None; more than one flip is
-    reported as ambiguous with every flip point listed.
+    single gammaDb and compares them in ln epsilon, so orderings deep in
+    epsilon's underflow still count. No flip returns crossover None; more
+    than one flip is reported as ambiguous with every flip point listed.
     """
     if len(scenario.schemes) != 2:
         raise ConfigError("crossover needs exactly two schemes")
@@ -380,20 +399,20 @@ def doppler_crossover(scenario: Scenario) -> dict:
     gamma_db = scenario.gamma_db[0]
     gamma = db_to_lin(gamma_db)
     eps = {s: [] for s in scenario.schemes}
+    log_eps = {s: [] for s in scenario.schemes}
     for scheme in scenario.schemes:
-        iv_seed, _ = _row_seeds(scenario.seed, scheme, gamma_db)
         for fd in scenario.fd_ts:
             try:
                 res = scheme_fbl(
                     scheme, grid, pdp, DopplerSpec(fd), gamma,
                     scenario.n_info_bits, scenario.orders[scheme],
-                    n_samples=scenario.n_samples, seed=iv_seed,
                 )
             except InfeasiblePayloadError as exc:
                 raise ConfigError(str(exc)) from exc
             eps[scheme].append(res.epsilon)
+            log_eps[scheme].append(res.log_epsilon)
     s0, s1 = scenario.schemes
-    diff = np.array(eps[s0]) - np.array(eps[s1])
+    diff = np.array(log_eps[s0]) - np.array(log_eps[s1])
     signs = np.sign(diff)
     flips = []
     prev = 0.0
@@ -408,6 +427,7 @@ def doppler_crossover(scenario: Scenario) -> dict:
         "gammaDb": gamma_db,
         "fdTs": list(scenario.fd_ts),
         "epsilon": {s: list(map(float, v)) for s, v in eps.items()},
+        "logEpsilon": log_eps,
         "crossover": None if (ambiguous or not flips) else flips[0],
         "flips": flips,
         "ambiguous": ambiguous,
@@ -473,7 +493,7 @@ def selftest(verbose: bool = True) -> bool:
         pdp = exponential_pdp(5, 1.0)
         rho = np.real(channel.freq_correlation(1, pdp, 64))
         params = DiffChannelParams(gamma=db_to_lin(2.0), rho=rho, order=4)
-        iv = fbl.diff_capacity_dispersion(params, 100_000, 123)
+        iv = fbl.diff_quadrature_iv(params)
         n, b = 126, 49
         eps_na = fbl.normal_approx_bler(iv.i, iv.v, n, b / n)
         sampler = lambda m, rng: fbl.sample_diff_density(params, m, rng)
@@ -482,6 +502,18 @@ def selftest(verbose: bool = True) -> bool:
         hi = bounds_mod.dt_upper_bound(sampler, n, b, block_samples=blocks)
         assert lo.value - 3 * lo.stderr <= eps_na <= hi.value + 3 * hi.stderr
         assert lo.value <= hi.value
+
+    def quadrature_vs_monte_carlo():
+        gamma = db_to_lin(10.0)
+        params = DiffChannelParams(gamma=gamma, rho=0.99, order=4)
+        for quad, mc in (
+            (fbl.diff_quadrature_iv(params),
+             fbl.diff_capacity_dispersion(params, 100_000, 41)),
+            (fbl.coherent_quadrature_iv(gamma, qam(16)),
+             fbl.coherent_capacity_dispersion(gamma, qam(16), 100_000, 42)),
+        ):
+            assert abs(quad.i - mc.i) <= 3 * mc.i_stderr, (quad.i, mc.i, mc.i_stderr)
+            assert abs(quad.v - mc.v) <= 3 * mc.v_stderr, (quad.v, mc.v, mc.v_stderr)
 
     def determinism():
         scn = Scenario(
@@ -496,6 +528,7 @@ def selftest(verbose: bool = True) -> bool:
     check("closed-form spot values", closed_forms)
     check("normal approximation monotone in rate", na_monotone)
     check("IS <= NA <= DT sandwich", sandwich)
+    check("quadrature (I, V) agrees with Monte Carlo", quadrature_vs_monte_carlo)
     check("sweep determinism", determinism)
 
     ok = all(passed for _, passed, _ in checks)

@@ -27,17 +27,30 @@ ratio against the output mixture gives
 
   i = log2 M - log2 sum_i exp(|w|^2 - |w + sqrt(gamma_hat) h (x_j - x_i)|^2).
 
-Everything is evaluated in bits with log-sum-exp guarding, and every Monte
-Carlo estimate carries its standard error.
+scheme_fbl takes (I, V) from deterministic tensor quadrature of these
+densities: each channel is rotated so that one Rayleigh factor is real (z1
+for the pair, h for the coherent link), leaving its power q ~ Exp(1),
+integrated by Gauss-Legendre in ln q plus an exact node at q = 0, times a
+2-D Gauss-Hermite rule over one CN(0, 1) variable. The quadrature carries
+its truncation estimate where Monte Carlo carries a standard error. The
+samplers and the Monte Carlo estimators stay as the quadrature's reference
+and as the block samplers of the IS/DT bounds.
+
+Everything is evaluated in bits with log-sum-exp guarding. The normal
+approximation is available as epsilon and as ln epsilon, which stays finite
+where epsilon underflows.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
+from scipy.special import erfc, log_ndtr
 
 from ._util import as_rng
 from .channel import freq_correlation, time_correlation
@@ -60,11 +73,14 @@ __all__ = [
     "FblResult",
     "awgn_capacity_dispersion",
     "normal_approx_bler",
+    "normal_approx_log_bler",
     "diff_transition_logpdf",
     "sample_diff_density",
     "sample_coherent_density",
     "diff_capacity_dispersion",
     "coherent_capacity_dispersion",
+    "diff_quadrature_iv",
+    "coherent_quadrature_iv",
     "fddi_correlation",
     "tddi_correlation",
     "scheme_fbl",
@@ -125,7 +141,12 @@ class DiffChannelParams:
 
 @dataclass(frozen=True)
 class IvEstimate:
-    """Monte Carlo (I, V) with standard errors; part of the result contract."""
+    """(I, V) with an error scale; part of the result contract.
+
+    From Monte Carlo, the errors are standard errors and n_samples counts
+    draws; from quadrature, the errors are the rule's truncation estimate and
+    n_samples counts density evaluations of the production rule.
+    """
 
     i: float
     v: float
@@ -136,7 +157,10 @@ class IvEstimate:
 
 @dataclass(frozen=True)
 class FblResult:
-    """Scheme-level finite-blocklength outcome at one operating point."""
+    """Scheme-level finite-blocklength outcome at one operating point.
+
+    i_stderr and v_stderr are the quadrature's truncation estimate.
+    """
 
     scheme: str
     i: float
@@ -144,6 +168,7 @@ class FblResult:
     n: int
     r: float
     epsilon: float
+    log_epsilon: float  # ln epsilon: ranks operating points where epsilon underflows
     i_stderr: float
     v_stderr: float
     sigma_e2: float | None = None
@@ -163,24 +188,31 @@ def awgn_capacity_dispersion(gamma: float):
     return float(c), float(v)
 
 
-def _q_func(x: float) -> float:
-    return 0.5 * erfc(x / np.sqrt(2.0))
-
-
-def normal_approx_bler(i: float, v: float, n: int, r: float) -> float:
-    """Normal-approximation BLER Q(sqrt(N/V) (I - R + log2(N)/(2N))).
-
-    V = 0 degenerates to a step function: zero error below the corrected
-    capacity, certain error above it.
-    """
+def _na_argument(i: float, v: float, n: int, r: float) -> float:
+    """Q-function argument sqrt(N/V) (I - R + log2(N)/(2N)); +-inf for V = 0."""
     if n < 2:
         raise ValueError("blocklength must be >= 2")
     if v < 0.0:
         raise ValueError("dispersion must be nonnegative")
     margin = i - r + np.log2(n) / (2.0 * n)
     if v == 0.0:
-        return 0.0 if margin > 0.0 else 1.0
-    return float(_q_func(np.sqrt(n / v) * margin))
+        return np.inf if margin > 0.0 else -np.inf
+    return np.sqrt(n / v) * margin
+
+
+def normal_approx_bler(i: float, v: float, n: int, r: float) -> float:
+    """Normal-approximation BLER Q(sqrt(N/V) (I - R + log2(N)/(2N))).
+
+    V = 0 degenerates to a step function: zero error below the corrected
+    capacity, certain error above it. The value underflows to 0 once the
+    argument passes about 38; compare log BLERs there.
+    """
+    return float(0.5 * erfc(_na_argument(i, v, n, r) / np.sqrt(2.0)))
+
+
+def normal_approx_log_bler(i: float, v: float, n: int, r: float) -> float:
+    """Natural log of normal_approx_bler, finite far past its underflow."""
+    return float(log_ndtr(-_na_argument(i, v, n, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +260,31 @@ def _sample_pair_product(params: DiffChannelParams, n: int, rng) -> np.ndarray:
     return np.conj(z1) * z2
 
 
+def _density_from_exponents(ex: np.ndarray) -> np.ndarray:
+    """log2 M - log2 sum_m exp(ex[..., m]), log-sum-exp guarded, in bits."""
+    mx = ex.max(axis=-1)
+    lse = mx + np.log(np.exp(ex - mx[..., None]).sum(axis=-1))
+    return np.log2(ex.shape[-1]) - lse / LN2
+
+
+def _diff_density(p: np.ndarray, params: DiffChannelParams) -> np.ndarray:
+    """Differential density as a function of p = conj(z1) z2 (any shape)."""
+    order = params.order
+    phases = np.exp(-2j * np.pi * np.arange(order) / order)
+    # c*(F_m - F_0) = 2c (Re(p e^{-j dphi_m}) - Re(p))
+    ex = 2.0 * params.quad_coeff * (np.real(p[..., None] * phases) - np.real(p)[..., None])
+    return _density_from_exponents(ex)
+
+
+def _coherent_density(gamma_hat: float, h2, hw, d) -> np.ndarray:
+    """Coherent density from |h|^2, conj(w) h and the differences D = x_j - x_i
+    (candidates on the last axis of d)."""
+    ex = -gamma_hat * h2[..., None] * np.abs(d) ** 2 - 2.0 * np.sqrt(gamma_hat) * np.real(
+        hw[..., None] * d
+    )
+    return _density_from_exponents(ex)
+
+
 def sample_diff_density(params: DiffChannelParams, n: int, rng) -> np.ndarray:
     """n i.i.d. per-use information densities of the differential channel.
 
@@ -235,15 +292,7 @@ def sample_diff_density(params: DiffChannelParams, n: int, rng) -> np.ndarray:
     transmitted difference fixed to dphi_0 = 0 (PSK symmetry makes the
     density's law input-independent).
     """
-    order = params.order
-    p = _sample_pair_product(params, n, rng)
-    c = params.quad_coeff
-    phases = np.exp(-2j * np.pi * np.arange(order) / order)
-    # c*(F_m - F_0) = 2c (Re(p e^{-j dphi_m}) - Re(p))
-    ex = 2.0 * c * (np.real(p[:, None] * phases[None, :]) - np.real(p)[:, None])
-    mx = ex.max(axis=1)
-    lse = mx + np.log(np.exp(ex - mx[:, None]).sum(axis=1))
-    return np.log2(order) - lse / LN2
+    return _diff_density(_sample_pair_product(params, n, rng), params)
 
 
 def sample_coherent_density(
@@ -261,7 +310,6 @@ def sample_coherent_density(
         raise ValueError("gamma_hat must be positive")
     pts = constellation.points
     order = pts.size
-    sg = np.sqrt(gamma_hat)
     out = np.empty(n)
     done = 0
     while done < n:
@@ -269,16 +317,130 @@ def sample_coherent_density(
         h = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * np.sqrt(0.5)
         w = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * np.sqrt(0.5)
         j = rng.integers(0, order, size=m)
-        q = np.conj(w) * h
         d = pts[j][:, None] - pts[None, :]  # (m, order)
-        ex = -gamma_hat * (np.abs(h) ** 2)[:, None] * np.abs(d) ** 2 - 2.0 * sg * np.real(
-            q[:, None] * d
-        )
-        mx = ex.max(axis=1)
-        lse = mx + np.log(np.exp(ex - mx[:, None]).sum(axis=1))
-        out[done : done + m] = np.log2(order) - lse / LN2
+        out[done : done + m] = _coherent_density(gamma_hat, np.abs(h) ** 2, np.conj(w) * h, d)
         done += m
     return out
+
+
+# ---------------------------------------------------------------------------
+# Deterministic (I, V) by tensor quadrature
+# ---------------------------------------------------------------------------
+
+# Both channels are rotated so that one Rayleigh factor is real: the density
+# is then a function of q ~ Exp(1), the power of that factor, and of one
+# CN(0, 1) variable, integrated by a q rule times a 2-D Gauss-Hermite rule.
+Q_NODES = 48
+Q_NODES_COARSE = 24  # the truncation estimate is |Q_NODES rule - this rule|
+GH_NODES = 20
+Q_MAX = 45.0  # P(q > 45) = e^-45
+
+
+@lru_cache(maxsize=None)
+def _legendre(n_nodes: int):
+    return leggauss(n_nodes)
+
+
+@lru_cache(maxsize=None)
+def _cn_rule():
+    """Nodes and weights of E[f(w)], w ~ CN(0, 1): GH_NODES^2 points."""
+    t, wt = hermgauss(GH_NODES)
+    nodes = (t[:, None] + 1j * t[None, :]).ravel()
+    weights = (wt[:, None] * wt[None, :]).ravel() / np.pi
+    return nodes, weights
+
+
+def _exp_rule(gamma: float, n_nodes: int):
+    """Nodes and weights of E[f(q)], q ~ Exp(1).
+
+    Gauss-Legendre in ln q on [ln q_min, ln Q_MAX], q_min = 1e-4/max(gamma, 1):
+    plain Gauss-Laguerre misses the change of the density near q ~ 1/gamma
+    once gamma passes about 15 dB. A node at q = 0, where every density here
+    is exactly 0, carries P(q < q_min); leaving that mass out would bias V by
+    about q_min I^2.
+    """
+    q_min = 1e-4 / max(gamma, 1.0)
+    t, w = _legendre(n_nodes)
+    lo, hi = np.log(q_min), np.log(Q_MAX)
+    q = np.exp(0.5 * (hi - lo) * t + 0.5 * (hi + lo))
+    wq = 0.5 * (hi - lo) * w * q * np.exp(-q)
+    return np.concatenate(([0.0], q)), np.concatenate(([-np.expm1(-q_min)], wq))
+
+
+def _quadrature_iv(density, weights: np.ndarray, gamma: float) -> IvEstimate:
+    """(I, V) of density(q) -> (len(q), weights.size) against the q rule
+    times `weights`, with |fine - coarse q rule| as the error scale."""
+
+    def moments(n_nodes):
+        q, wq = _exp_rule(gamma, n_nodes)
+        dens = density(q)
+        w = wq[:, None] * weights
+        i = float(np.sum(w * dens))
+        return i, float(np.sum(w * (dens - i) ** 2)), dens.size
+
+    i, v, size = moments(Q_NODES)
+    i_coarse, v_coarse, _ = moments(Q_NODES_COARSE)
+    return IvEstimate(i=i, v=v, i_stderr=abs(i - i_coarse), v_stderr=abs(v - v_coarse),
+                      n_samples=size)
+
+
+def diff_quadrature_iv(params: DiffChannelParams) -> IvEstimate:
+    """Deterministic (I, V) of the differential channel.
+
+    With z1 rotated real, |z1|^2 = s q (s = 2 sigma^2) and
+    z2 = (rho/s) z1 + e, e ~ CN(0, s - rho^2/s), so that
+    p = conj(z1) z2 = rho q + sqrt(s q) e.
+    """
+    s = 2.0 * params.sigma2
+    scale = np.sqrt(s * (s - params.rho ** 2 / s))
+    w, ww = _cn_rule()
+
+    def density(q):
+        p = params.rho * q[:, None] + (scale * np.sqrt(q))[:, None] * w
+        return _diff_density(p, params)
+
+    return _quadrature_iv(density, ww, params.gamma)
+
+
+def _input_classes(constellation: Constellation):
+    """One input per symmetry class of the alphabet, with its probability.
+
+    w is circular and its law is conjugation-invariant, so the density's law
+    is the same for inputs that a symmetry of the alphabet maps onto each
+    other: every PSK point is a rotation of the first, and square QAM falls
+    into D4 classes of 4 (diagonal) or 8 points, represented in the sector
+    0 < Re x <= Im x.
+    """
+    pts = constellation.points
+    if constellation.kind == "psk":
+        return pts[:1], np.ones(1)
+    if constellation.kind == "qam":
+        tol = 1e-12
+        rep = (pts.real > 0.0) & (pts.imag >= pts.real - tol)
+        diagonal = np.abs(pts.imag - pts.real) <= tol
+        return pts[rep], np.where(diagonal[rep], 4.0, 8.0) / pts.size
+    return pts, np.full(pts.size, 1.0 / pts.size)
+
+
+def coherent_quadrature_iv(gamma_hat: float, constellation: Constellation) -> IvEstimate:
+    """Deterministic (I, V) of the coherent fading channel.
+
+    With h rotated real, |h|^2 = q and conj(w) h = sqrt(q) conj(w); the
+    inputs are averaged over their symmetry classes.
+    """
+    if gamma_hat <= 0.0:
+        raise ValueError("gamma_hat must be positive")
+    pts = constellation.points
+    reps, probs = _input_classes(constellation)
+    w, ww = _cn_rule()
+    d = reps[:, None] - pts[None, :]  # (classes, order)
+
+    def density(q):
+        hw = np.sqrt(q)[:, None, None] * np.conj(w)[None, :, None]
+        dens = _coherent_density(gamma_hat, q[:, None, None], hw, d[None, None])
+        return dens.reshape(q.size, -1)
+
+    return _quadrature_iv(density, (ww[:, None] * probs).ravel(), gamma_hat)
 
 
 def _iv_from_samples(samples: np.ndarray) -> IvEstimate:
@@ -354,8 +516,6 @@ def scheme_fbl(
     gamma: float,
     n_info_bits: int,
     order: int,
-    n_samples: int = 1_000_000,
-    seed=0,
     constellation: Constellation | None = None,
 ) -> FblResult:
     """Normal-approximation BLER of one scheme at one operating point.
@@ -363,7 +523,9 @@ def scheme_fbl(
     Differential schemes map to the equivalent pair channel with their
     neighbor correlation; the pilot-assisted scheme runs the estimation MSE
     analysis, converts it to an effective SNR, and evaluates the coherent
-    density at that SNR. R = B/N against the scheme's own data-symbol count.
+    channel at that SNR. (I, V) come from the deterministic quadrature, so
+    the result is a function of the operating point alone. R = B/N against
+    the scheme's own data-symbol count.
     """
     n = data_symbol_count(grid, scheme)
     r = n_info_bits / n
@@ -380,25 +542,24 @@ def scheme_fbl(
         gamma_hat = effective_snr(sigma_e2, 1.0 / gamma)
         if constellation is None:
             constellation = default_constellation(scheme, order)
-        iv = coherent_capacity_dispersion(gamma_hat, constellation, n_samples, seed)
+        iv = coherent_quadrature_iv(gamma_hat, constellation)
     elif scheme in (FDDI, TDDI):
         rho = (
             fddi_correlation(pdp, grid.n_subcarriers)
             if scheme == FDDI
             else tddi_correlation(doppler)
         )
-        params = DiffChannelParams(gamma=gamma, rho=rho, order=order)
-        iv = diff_capacity_dispersion(params, n_samples, seed)
+        iv = diff_quadrature_iv(DiffChannelParams(gamma=gamma, rho=rho, order=order))
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    eps = normal_approx_bler(iv.i, iv.v, n, r)
     return FblResult(
         scheme=scheme,
         i=iv.i,
         v=iv.v,
         n=n,
         r=float(r),
-        epsilon=eps,
+        epsilon=normal_approx_bler(iv.i, iv.v, n, r),
+        log_epsilon=normal_approx_log_bler(iv.i, iv.v, n, r),
         i_stderr=iv.i_stderr,
         v_stderr=iv.v_stderr,
         sigma_e2=sigma_e2,

@@ -85,11 +85,9 @@ def test_criterion_1_bound_sandwich():
     for scheme_idx, scheme in enumerate((PA, FDDI, TDDI)):
         for gamma_idx, gamma_db in enumerate((0.0, 2.0, 4.0)):
             gamma = db_to_lin(gamma_db)
-            seed_iv = 100 + 10 * scheme_idx + gamma_idx
             seed_bounds = 500 + 10 * scheme_idx + gamma_idx
             res = scheme_fbl(
                 scheme, GRID_T2, PDP, DopplerSpec(0.01), gamma, 1, 4,
-                n_samples=1_000_000, seed=seed_iv,
             )
             n = res.n
             # integer payload whose predicted BLER is nearest 1e-2
@@ -119,11 +117,11 @@ def test_criterion_1_bound_sandwich():
 
 def test_criterion_2_fddi_doppler_invariance():
     """FDDi BLER is exactly constant in Doppler: same floats to the last
-    bit across a 200x spread of fdTs under a fixed seed."""
+    bit across a 200x spread of fdTs."""
     fds = (0.001, 0.01, 0.05, 0.1, 0.2)
     results = [
         scheme_fbl(FDDI, GRID_T2, PDP, DopplerSpec(fd), db_to_lin(2.0),
-                   64, 4, n_samples=100_000, seed=11)
+                   64, 4)
         for fd in fds
     ]
     base = results[0]
@@ -137,12 +135,10 @@ def test_criterion_2_fddi_doppler_invariance():
 CROSS_BAND = (1e-4, 1e-1)
 
 
-def _pa_vs_fddi(gamma_db, fd, n_samples=200_000, seed=1):
+def _pa_vs_fddi(gamma_db, fd):
     gamma = db_to_lin(gamma_db)
-    pa = scheme_fbl(PA, GRID_T2, PDP, DopplerSpec(fd), gamma, 64, 4,
-                    n_samples=n_samples, seed=seed)
-    fddi = scheme_fbl(FDDI, GRID_T2, PDP, DopplerSpec(fd), gamma, 64, 4,
-                      n_samples=n_samples, seed=seed)
+    pa = scheme_fbl(PA, GRID_T2, PDP, DopplerSpec(fd), gamma, 64, 4)
+    fddi = scheme_fbl(FDDI, GRID_T2, PDP, DopplerSpec(fd), gamma, 64, 4)
     return pa.epsilon, fddi.epsilon
 
 
@@ -220,13 +216,12 @@ def test_criterion_4_low_doppler_snr_gap():
     """SNR needed for BLER 1e-3 at fdTs = 0.01: the pilot-assisted scheme
     needs less than FDDi, by something in the 0.5 to 4 dB range."""
 
-    def snr_for_target(scheme, target=1e-3, seed=42):
+    def snr_for_target(scheme, target=1e-3):
         lo, hi = 0.0, 10.0
         for _ in range(20):
             mid = 0.5 * (lo + hi)
             res = scheme_fbl(scheme, GRID_T2, PDP, DopplerSpec(0.01),
-                             db_to_lin(mid), 64, 4,
-                             n_samples=200_000, seed=seed)
+                             db_to_lin(mid), 64, 4)
             if res.epsilon > target:
                 lo = mid
             else:

@@ -114,8 +114,11 @@ def test_run_sweep_deterministic_and_seed_sensitive(tmp_path):
     out = tmp_path / "sweep.csv"
     b = run_sweep(sc, output_path=str(out))
     assert a == b == out.read_text()
+    # without bounds the seed only reaches its own column
     c = run_sweep(Scenario.from_json({**SMALL, "seed": 4}))
     assert c != a
+    drop_seed = lambda text: [{k: v for k, v in r.items() if k != "seed"} for r in _rows(text)]
+    assert drop_seed(c) == drop_seed(a)
 
 
 def test_run_sweep_fddi_rows_doppler_invariant():
@@ -129,6 +132,26 @@ def test_run_sweep_fddi_rows_doppler_invariant():
     for key, rows in by_fd.items():
         assert len(rows) == 3
         assert rows[0] == rows[1] == rows[2]
+
+
+def test_run_sweep_i_nondecreasing_in_snr_and_seed_free():
+    """I never falls with SNR up to 60 dB, where it saturates, and the NA
+    columns do not depend on the seed: FDDi rows agree across fdTs and
+    across master seeds, with no seed shared between rows."""
+    doc = {"fdTs": [0.01, 0.1], "gammaDb": list(range(0, 61, 5)), "nSamples": 10_000}
+    rows = (_rows(run_sweep(Scenario.from_json({**doc, "seed": 1})))
+            + _rows(run_sweep(Scenario.from_json({**doc, "seed": 2}))))
+    for scheme in (PA, FDDI, TDDI):
+        for fd in ("0.01", "0.1"):
+            i = [float(r["I"]) for r in rows[: len(rows) // 2]
+                 if r["scheme"] == scheme and r["fdTs"] == fd]
+            assert len(i) == 13
+            assert all(b >= a for a, b in zip(i, i[1:])), (scheme, fd, i)
+    na = ("N", "R", "I", "V", "epsilonNA")
+    for gamma_db in doc["gammaDb"]:
+        fddi = {tuple(r[c] for c in na) for r in rows
+                if r["scheme"] == FDDI and float(r["gammaDb"]) == gamma_db}
+        assert len(fddi) == 1, (gamma_db, fddi)
 
 
 def test_run_sweep_infeasible_marker():
@@ -191,6 +214,18 @@ def test_select_doppler_rationale():
     assert rec.chosen != PA
 
 
+def test_select_ranks_on_log_bler_where_epsilon_underflows():
+    """At 30 dB every epsilon underflows to 0.0, yet PA's Q argument (about
+    142) is twice FDDi's (about 70): ln epsilon ranks PA first instead of
+    leaving the choice to the tie-break."""
+    rec = select_scheme(Scenario.from_json({"B": 16, "fdTs": 0.01, "gammaDb": 30.0}))
+    assert rec.chosen == PA
+    assert [e for _, e in rec.ranked] == [0.0, 0.0, 0.0]
+    logs = [rec.log_epsilon[s] for s, _ in rec.ranked]
+    assert logs[0] < logs[1] < logs[2] < -1000.0
+    assert [r["logEpsilon"] for r in rec.to_dict()["ranked"]] == logs
+
+
 def test_select_requires_scalar_point():
     with pytest.raises(ConfigError):
         select_scheme(Scenario.from_json(dict(SMALL)))
@@ -210,6 +245,19 @@ def test_crossover_finds_flip():
     assert rep["epsilon"]["FDDi"][0] == rep["epsilon"]["FDDi"][1]
     assert rep["epsilon"]["PA"][0] < rep["epsilon"]["FDDi"][0]
     assert rep["epsilon"]["PA"][1] > rep["epsilon"]["FDDi"][1]
+
+
+def test_crossover_compares_log_bler():
+    """Both curves sit at epsilon = 0.0 up to fdTs = 0.05; in ln epsilon PA
+    still rises through FDDi's flat curve there."""
+    rep = doppler_crossover(Scenario.from_json({
+        "schemes": ["PA", "FDDi"], "fdTs": [0.01, 0.02, 0.05, 0.1],
+        "gammaDb": 30.0, "B": 16,
+    }))
+    assert rep["epsilon"]["FDDi"] == [0.0] * 4
+    assert rep["epsilon"]["PA"][:3] == [0.0] * 3
+    assert rep["crossover"] == 0.05 and rep["flips"] == [0.05]
+    assert rep["logEpsilon"]["PA"][0] < rep["logEpsilon"]["FDDi"][0]
 
 
 def test_crossover_none_cases():
@@ -336,6 +384,23 @@ def test_main_config_errors_exit_1(tmp_path, capsys):
         else:
             os.environ["FBL_SEED"] = old
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"highMobility": "no", "T": 7}, "highMobility"),
+    ({"highMobility": 1}, "highMobility"),
+    ({"M": 3}, "power of two"),
+    ({"M": {"PA": 4, "FDDi": 6, "TDDi": 4}}, "power of two"),
+    ({"M": {"PA": "x", "FDDi": 4, "TDDi": 4}}, "invalid literal"),
+    ({"pdp": [1, 2]}, "pdp"),
+], ids=("mobility-string", "mobility-int", "M-3", "M-map-6", "M-map-text", "pdp-list"))
+def test_main_strict_config_types_exit_1(tmp_path, capsys, doc, message):
+    cfg = _write_config(tmp_path, {"fdTs": 0.01, "gammaDb": 2.0, **doc})
+    assert main(["select", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_main_numerical_failure_exit_2(tmp_path, capsys):

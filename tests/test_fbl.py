@@ -1,28 +1,36 @@
 """Information densities, capacity/dispersion, normal approximation."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from minislot._util import db_to_lin
 from minislot.channel import DopplerSpec, PowerDelayProfile, exponential_pdp
 from minislot.fbl import (
     DiffChannelParams,
     InfeasiblePayloadError,
     ModelFidelityWarning,
+    _iv_from_samples,
     awgn_capacity_dispersion,
     coherent_capacity_dispersion,
+    coherent_quadrature_iv,
     diff_capacity_dispersion,
+    diff_quadrature_iv,
     diff_transition_logpdf,
     fddi_correlation,
     normal_approx_bler,
+    normal_approx_log_bler,
     sample_coherent_density,
     sample_diff_density,
     scheme_fbl,
     tddi_correlation,
 )
-from minislot.grid import FDDI, PA, TDDI, MiniSlotGrid, psk, qam, standard_pattern
+from minislot.grid import (
+    FDDI, PA, TDDI, Constellation, MiniSlotGrid, psk, qam, standard_pattern,
+)
 
 import oracles
 
@@ -58,6 +66,22 @@ def test_normal_approx_monotone_and_degenerate():
         normal_approx_bler(1.0, 0.75, 1, 0.5)
     with pytest.raises(ValueError):
         normal_approx_bler(1.0, -0.1, 128, 0.5)
+
+
+def test_normal_approx_log_bler_survives_underflow():
+    for r in (0.3, 0.75, 0.95):
+        assert normal_approx_log_bler(0.9, 0.6, 128, r) == pytest.approx(
+            np.log(normal_approx_bler(0.9, 0.6, 128, r)), rel=1e-12
+        )
+    # Q argument ~ 170: epsilon underflows to 0, ln epsilon stays exact
+    arg = np.sqrt(128 / 0.01) * (2.0 - 0.5 + np.log2(128) / 256)
+    assert normal_approx_bler(2.0, 0.01, 128, 0.5) == 0.0
+    assert normal_approx_log_bler(2.0, 0.01, 128, 0.5) == pytest.approx(
+        norm.logsf(arg), rel=1e-12
+    )
+    # V = 0 keeps the step function
+    assert normal_approx_log_bler(1.0, 0.0, 128, 0.9) == -np.inf
+    assert normal_approx_log_bler(1.0, 0.0, 128, 1.1) == 0.0
 
 
 def test_diff_params_validation_and_properties():
@@ -231,6 +255,88 @@ def test_coherent_iv_matches_quadrature_oracle():
     assert est.v == pytest.approx(gh[1], abs=tol_v)
 
 
+def test_quadrature_matches_frozen_oracles():
+    """The production rule lands inside each oracle's own refinement delta."""
+    diff = diff_quadrature_iv(DiffChannelParams(**oracles.DIFF_POINT))
+    assert abs(diff.i - oracles.DIFF_GH60[0]) <= oracles.DIFF_GH_DELTA[0]
+    assert abs(diff.v - oracles.DIFF_GH60[1]) <= oracles.DIFF_GH_DELTA[1]
+    bpsk = coherent_quadrature_iv(oracles.BPSK_POINT["gamma_hat"], psk(2))
+    assert abs(bpsk.i - oracles.BPSK_QUAD[0]) <= oracles.BPSK_QUAD_DELTA[0]
+    assert abs(bpsk.v - oracles.BPSK_QUAD[1]) <= oracles.BPSK_QUAD_DELTA[1]
+
+
+MC_GAMMAS_DB = (-5.0, 0.0, 10.0, 20.0, 30.0)
+
+
+def _monte_carlo_iv(sampler, seed, n=1_000_000, chunks=4):
+    """1e6-draw (I, V) with standard errors, drawn in chunks to bound memory."""
+    rng = np.random.default_rng(seed)
+    return _iv_from_samples(
+        np.concatenate([sampler(n // chunks, rng) for _ in range(chunks)])
+    )
+
+
+def _disagreements(quad, mc, where):
+    """Quadrature vs Monte Carlo: 3 standard errors plus the rule's own
+    truncation estimate."""
+    out = []
+    for name, q, m, se, trunc in (
+        ("I", quad.i, mc.i, mc.i_stderr, quad.i_stderr),
+        ("V", quad.v, mc.v, mc.v_stderr, quad.v_stderr),
+    ):
+        if abs(q - m) > 3 * se + trunc:
+            out.append(f"{where} {name}: quad={q:.6f} mc={m:.6f} se={se:.1e}")
+    return out
+
+
+@pytest.mark.parametrize("order", (2, 4, 16))
+def test_diff_quadrature_agrees_with_monte_carlo(order):
+    failures = []
+    points = itertools.product(MC_GAMMAS_DB, (0.0, 0.9, 0.999))
+    for k, (gamma_db, rho) in enumerate(points):
+        params = DiffChannelParams(gamma=db_to_lin(gamma_db), rho=rho, order=order)
+        mc = _monte_carlo_iv(
+            lambda n, rng: sample_diff_density(params, n, rng), seed=100 * order + k
+        )
+        failures += _disagreements(
+            diff_quadrature_iv(params), mc, f"M={order} {gamma_db:g}dB rho={rho}"
+        )
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("constellation", (psk(2), qam(4), qam(16)),
+                         ids=("BPSK", "QPSK", "16QAM"))
+def test_coherent_quadrature_agrees_with_monte_carlo(constellation):
+    failures = []
+    for k, gamma_db in enumerate(MC_GAMMAS_DB):
+        gamma_hat = db_to_lin(gamma_db)
+        mc = _monte_carlo_iv(
+            lambda n, rng: sample_coherent_density(gamma_hat, constellation, n, rng),
+            seed=1000 + 10 * constellation.order + k,
+        )
+        failures += _disagreements(
+            coherent_quadrature_iv(gamma_hat, constellation), mc,
+            f"{constellation.kind}{constellation.order} {gamma_db:g}dB",
+        )
+    assert not failures, "\n".join(failures)
+
+
+def test_quadrature_symmetry_reduction_matches_all_inputs():
+    """One input per symmetry class gives the average over every input.
+
+    The tensor Gauss-Hermite grid is itself D4-symmetric, so for square QAM
+    and QPSK the two agree to rounding; 8-PSK's 45-degree rotation is no
+    symmetry of the grid, so there they agree to the rule's accuracy.
+    """
+    for const, tol in ((qam(4), 1e-12), (qam(16), 1e-12), (psk(8), 2e-5)):
+        full = Constellation(kind="generic", order=const.order, points=const.points)
+        for gamma_hat in (0.5, 3.0, 30.0):
+            a = coherent_quadrature_iv(gamma_hat, const)
+            b = coherent_quadrature_iv(gamma_hat, full)
+            assert a.i == pytest.approx(b.i, abs=tol), (const.kind, const.order, gamma_hat)
+            assert a.v == pytest.approx(b.v, abs=tol), (const.kind, const.order, gamma_hat)
+
+
 def test_iv_estimators_reject_tiny_sample_counts():
     with pytest.raises(ValueError):
         diff_capacity_dispersion(
@@ -266,25 +372,21 @@ def make_grid(T=2, K=64, delta_sub=2, high=False):
 def test_scheme_fbl_differential_paths():
     pdp = exponential_pdp(5, 1.0)
     grid = make_grid()
-    res = scheme_fbl(FDDI, grid, pdp, DopplerSpec(0.05), 2.0, 64, 4,
-                     n_samples=20_000, seed=1)
+    res = scheme_fbl(FDDI, grid, pdp, DopplerSpec(0.05), 2.0, 64, 4)
     assert res.scheme == FDDI
     assert res.n == 126 and res.r == pytest.approx(64 / 126)
     assert res.sigma_e2 is None and res.gamma_hat is None
     assert 0.0 <= res.epsilon <= 1.0
     # FDDi never looks at the Doppler value: bit-identical across fdTs
-    res2 = scheme_fbl(FDDI, grid, pdp, DopplerSpec(0.2), 2.0, 64, 4,
-                      n_samples=20_000, seed=1)
+    res2 = scheme_fbl(FDDI, grid, pdp, DopplerSpec(0.2), 2.0, 64, 4)
     assert res2.epsilon == res.epsilon and res2.i == res.i
 
 
 def test_scheme_fbl_tddi_uses_time_correlation():
     pdp = exponential_pdp(5, 1.0)
     grid = make_grid()
-    slow = scheme_fbl(TDDI, grid, pdp, DopplerSpec(0.01), 2.0, 32, 4,
-                      n_samples=50_000, seed=2)
-    fast = scheme_fbl(TDDI, grid, pdp, DopplerSpec(0.2), 2.0, 32, 4,
-                      n_samples=50_000, seed=2)
+    slow = scheme_fbl(TDDI, grid, pdp, DopplerSpec(0.01), 2.0, 32, 4)
+    fast = scheme_fbl(TDDI, grid, pdp, DopplerSpec(0.2), 2.0, 32, 4)
     assert slow.n == 64
     assert slow.i > fast.i  # Doppler decorrelates adjacent symbols
     assert slow.epsilon < fast.epsilon
@@ -293,13 +395,11 @@ def test_scheme_fbl_tddi_uses_time_correlation():
 def test_scheme_fbl_pa_estimation_penalty():
     pdp = exponential_pdp(5, 1.0)
     grid = make_grid()
-    res = scheme_fbl(PA, grid, pdp, DopplerSpec(0.01), 2.0, 64, 4,
-                     n_samples=20_000, seed=3)
+    res = scheme_fbl(PA, grid, pdp, DopplerSpec(0.01), 2.0, 64, 4)
     assert res.n == 96
     assert 0.0 < res.sigma_e2 < 1.0
     assert 0.0 < res.gamma_hat < 2.0  # estimation can only cost SNR here
-    worse = scheme_fbl(PA, grid, pdp, DopplerSpec(0.1), 2.0, 64, 4,
-                       n_samples=20_000, seed=3)
+    worse = scheme_fbl(PA, grid, pdp, DopplerSpec(0.1), 2.0, 64, 4)
     assert worse.sigma_e2 > res.sigma_e2
     assert worse.gamma_hat < res.gamma_hat
 
@@ -309,9 +409,8 @@ def test_scheme_fbl_infeasible_payload_raises_before_sampling():
     grid = make_grid()
     with pytest.raises(InfeasiblePayloadError):
         # TDDi: N = 64, QPSK carries at most 128 bits
-        scheme_fbl(TDDI, grid, pdp, DopplerSpec(0.01), 2.0, 129, 4,
-                   n_samples=10_000, seed=0)
+        scheme_fbl(TDDI, grid, pdp, DopplerSpec(0.01), 2.0, 129, 4)
     # boundary payload is fine
-    res = scheme_fbl(TDDI, grid, pdp, DopplerSpec(0.01), 2.0, 128, 4,
-                     n_samples=20_000, seed=0)
+    res = scheme_fbl(TDDI, grid, pdp, DopplerSpec(0.01), 2.0, 128, 4)
     assert res.r == pytest.approx(2.0)
+
