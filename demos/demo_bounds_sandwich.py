@@ -1,38 +1,44 @@
-"""The normal approximation against the non-asymptotic Monte Carlo
-bounds: information-spectrum lower bound and dependence-testing upper
-bound, sharing one set of block density samples."""
+"""The normal approximation against the non-asymptotic bounds:
+information-spectrum lower bound and dependence-testing upper bound, read
+deterministically off the quadrature law (what `sweep --bounds` reports)
+next to their Monte Carlo estimates from one set of block density samples."""
 
-from minislot.bounds import block_density_samples, dt_upper_bound, is_lower_bound
-from minislot.channel import exponential_pdp
-from minislot.fbl import (
-    DiffChannelParams,
-    diff_quadrature_iv,
-    fddi_correlation,
-    normal_approx_bler,
-    sample_diff_density,
+from minislot.bounds import (
+    block_density_samples,
+    dt_upper_bound,
+    is_lower_bound,
+    lattice_bounds,
 )
+from minislot.channel import DopplerSpec, exponential_pdp
+from minislot.fbl import equivalent_channel, normal_approx_bler, sample_diff_density
+from minislot.grid import FDDI, MiniSlotGrid, standard_pattern
 from minislot._util import db_to_lin
 
 pdp = exponential_pdp(5, 1.0)
-K, N = 64, 126  # FDDi on a K=64, T=2 grid
+grid = MiniSlotGrid(64, 2, standard_pattern(2, False, 2))
+N = 126  # FDDi on a K=64, T=2 grid
 gamma_db = 2.0
 
-params = DiffChannelParams(
-    gamma=db_to_lin(gamma_db), rho=fddi_correlation(pdp, K), order=4
-)
-iv = diff_quadrature_iv(params)
-sampler = lambda n, rng: sample_diff_density(params, n, rng)
+channel = equivalent_channel(FDDI, grid, pdp, DopplerSpec(0.01), db_to_lin(gamma_db), 4)
+iv = channel.iv()
+law = channel.law()
+sampler = lambda n, rng: sample_diff_density(channel.diff, n, rng)
 blocks = block_density_samples(sampler, N, 300_000, seed=6)
 
 print(f"FDDi, {gamma_db:g} dB, N = {N} channel uses, "
       f"I = {iv.i:.4f} b/use, V = {iv.v:.4f}")
-print("\n  B    IS lower       NA             DT upper")
+print("lattice: FFT convolution of the quadrature law; "
+      "MC: 3e5 sampled blocks (+- 1 se)")
+print("\n  B    IS lattice   IS MC                 NA           "
+      "DT lattice   DT MC")
 for B in (20, 25, 30, 35, 40):
-    lo = is_lower_bound(sampler, N, B, block_samples=blocks)
-    hi = dt_upper_bound(sampler, N, B, block_samples=blocks)
+    lo, hi = lattice_bounds(law.densities, law.weights, N, B)
+    mc_lo = is_lower_bound(sampler, N, B, block_samples=blocks)
+    mc_hi = dt_upper_bound(sampler, N, B, block_samples=blocks)
     na = normal_approx_bler(iv.i, iv.v, N, B / N)
     inside = lo.value <= na <= hi.value
-    print(f"  {B}   {lo.value:.4e}    {na:.4e}    {hi.value:.4e}"
+    print(f"  {B}   {lo.value:.4e}   {mc_lo.value:.4e}+-{mc_lo.stderr:.0e}   "
+          f"{na:.4e}   {hi.value:.4e}   {mc_hi.value:.4e}+-{mc_hi.stderr:.0e}"
           f"   {'ok' if inside else '  <- NA outside'}")
 
 print("\nThe approximation tracks the true finite-blocklength error to")

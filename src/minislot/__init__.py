@@ -6,8 +6,9 @@ coherent reception and differential (frequency- or time-direction)
 signalling sharp enough to matter. This package computes both sides of
 that trade: channel-estimation MSE and the effective SNR it implies,
 mismatched information density statistics for the differential equivalent
-channel, normal-approximation block error rates, and Monte Carlo
-converse/achievability bounds that sandwich them. A small CLI drives
+channel, normal-approximation block error rates, and the converse/achievability
+bounds that sandwich them, computed from the law of the information density
+with Monte Carlo estimators as their reference. A small CLI drives
 parameter sweeps, scheme selection and Doppler crossover searches from
 JSON scenarios.
 """
@@ -72,6 +73,7 @@ from .chanest import (
 )
 from .fbl import (
     DiffChannelParams,
+    EquivalentChannel,
     FblResult,
     InfeasiblePayloadError,
     IvEstimate,
@@ -82,9 +84,11 @@ from .fbl import (
     diff_capacity_dispersion,
     diff_quadrature_iv,
     diff_transition_logpdf,
+    equivalent_channel,
     fddi_correlation,
     normal_approx_bler,
     normal_approx_log_bler,
+    PerUseLaw,
     sample_coherent_density,
     sample_diff_density,
     scheme_fbl,
@@ -95,7 +99,7 @@ from .bounds import (
     block_density_samples,
     dt_upper_bound,
     is_lower_bound,
-    sample_block_density,
+    lattice_bounds,
 )
 from .cli import (
     ConfigError,
@@ -130,17 +134,19 @@ __all__ = [
     "phi_linear", "phi_lmmse", "phi_region_a", "phi_region_b",
     "pilot_covariance",
     # fbl
-    "DiffChannelParams", "FblResult", "InfeasiblePayloadError", "IvEstimate",
-    "ModelFidelityWarning", "awgn_capacity_dispersion",
+    "DiffChannelParams", "EquivalentChannel", "FblResult",
+    "InfeasiblePayloadError", "IvEstimate", "ModelFidelityWarning",
+    "PerUseLaw", "awgn_capacity_dispersion",
     "coherent_capacity_dispersion", "coherent_quadrature_iv",
     "diff_capacity_dispersion", "diff_quadrature_iv",
-    "diff_transition_logpdf", "fddi_correlation", "normal_approx_bler",
+    "diff_transition_logpdf", "equivalent_channel", "fddi_correlation",
+    "normal_approx_bler",
     "normal_approx_log_bler",
     "sample_coherent_density", "sample_diff_density", "scheme_fbl",
     "tddi_correlation",
     # bounds
     "BoundEstimate", "block_density_samples", "dt_upper_bound",
-    "is_lower_bound", "sample_block_density",
+    "is_lower_bound", "lattice_bounds",
     # cli
     "ConfigError", "Recommendation", "Scenario", "doppler_crossover",
     "run_sweep", "select_scheme",

@@ -92,8 +92,8 @@ def exponential_pdp(n_taps: int, decay: float = 1.0) -> PowerDelayProfile:
     """Exponentially decaying profile sigma_l^2 ~ exp(-decay*l), unit sum."""
     if n_taps < 1:
         raise ValueError("n_taps must be >= 1")
-    if decay < 0.0:
-        raise ValueError("decay must be >= 0")
+    if not 0.0 <= decay < np.inf:
+        raise ValueError("decay must be finite and >= 0")
     w = np.exp(-decay * np.arange(n_taps, dtype=float))
     return PowerDelayProfile(w / w.sum())
 

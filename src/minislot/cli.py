@@ -15,15 +15,16 @@ fdTs and gammaDb accept a scalar or a finite ascending list; M accepts one
 order or a per-scheme mapping. CLI flags override individual fields, and the
 master seed resolves as --seed flag > FBL_SEED environment variable > config.
 
-(I, V) and the normal approximation come from deterministic quadrature, so
-every NA column, `select` and `crossover` are functions of the operating
-point alone: FDDi rows are bit-identical across the Doppler sweep because
-their channel correlation never depends on fdTs. nSamples and the seed only
-set the Monte Carlo IS/DT bounds: each row draws its nSamples blocks from a
-substream keyed on (master seed, scheme, gammaDb) and deliberately not on
-fdTs, so the bounds see common random numbers along the Doppler axis. Sweep
-points run sequentially in scenario order, so output is deterministic byte
-for byte given (scenario, seed).
+Every output is a function of the operating point alone. (I, V) and the
+normal approximation come from deterministic quadrature, and `sweep
+--bounds` computes the IS/DT bounds from the same quadrature law of the
+per-use information density, by FFT convolution on a lattice
+(bounds.lattice_bounds); the stderr columns hold that computation's
+deterministic error scale. FDDi rows are bit-identical across the Doppler
+sweep because their channel correlation never depends on fdTs. nSamples and
+the seed are validated and echoed in their own CSV columns, and reach
+nothing else. Sweep points run sequentially in scenario order, so output is
+deterministic byte for byte given the scenario.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -31,6 +32,8 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -38,22 +41,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bounds as bounds_mod
+from .bounds import lattice_bounds
 from ._util import db_to_lin, lin_to_db
 from .channel import DopplerSpec, exponential_pdp
 from .chanest import EstimationCollapseError
 from .fbl import (
     DiffChannelParams,
     InfeasiblePayloadError,
-    fddi_correlation,
-    sample_coherent_density,
-    sample_diff_density,
+    equivalent_channel,
     scheme_fbl,
-    tddi_correlation,
 )
-from .grid import (
-    FDDI, PA, SCHEMES, TDDI, MiniSlotGrid, default_constellation, qam, standard_pattern,
-)
+from .grid import FDDI, PA, SCHEMES, TDDI, MiniSlotGrid, data_symbol_count, qam, standard_pattern
 
 __all__ = ["ConfigError", "Scenario", "Recommendation",
            "run_sweep", "select_scheme", "doppler_crossover", "selftest", "main"]
@@ -80,6 +78,8 @@ def _as_sweep(value, name: str) -> tuple:
     if not vals:
         raise ConfigError(f"{name} sweep must not be empty")
     out = tuple(float(v) for v in vals)
+    if not all(np.isfinite(out)):
+        raise ConfigError(f"{name} values must be finite numbers")
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ConfigError(f"{name} sweep must be strictly ascending")
     return out
@@ -107,6 +107,8 @@ class Scenario:
         object.__setattr__(self, "fd_ts", _as_sweep(self.fd_ts, "fdTs"))
         object.__setattr__(self, "gamma_db", _as_sweep(self.gamma_db, "gammaDb"))
         object.__setattr__(self, "schemes", tuple(self.schemes))
+        if not self.schemes:
+            raise ConfigError("schemes must name at least one scheme")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}; choose from {SCHEMES}")
@@ -170,7 +172,9 @@ class Scenario:
                     {k: int(v) for k, v in m.items()} if isinstance(m, dict) else int(m)
                 )
             if "schemes" in doc:
-                kwargs["schemes"] = tuple(doc["schemes"])
+                if not isinstance(doc["schemes"], list):
+                    raise ConfigError("schemes must be a list of scheme names")
+                kwargs["schemes"] = doc["schemes"]
             if "nSamples" in doc:
                 kwargs["n_samples"] = int(doc["nSamples"])
             if "seed" in doc:
@@ -178,7 +182,7 @@ class Scenario:
             return cls(**kwargs)
         except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def build(self):
@@ -196,35 +200,6 @@ class Scenario:
         return grid, pdp
 
 
-def _bound_seed(master: int, scheme: str, gamma_db: float):
-    """Bound substream keyed on (seed, scheme, gammaDb) but never fdTs.
-
-    It is the second child of the row's SeedSequence. The first is left
-    unused so that a seed's bound columns match those of earlier versions,
-    whose first child seeded a Monte Carlo (I, V).
-    """
-    gamma_key = int(round(gamma_db * 1e6)) + 10 ** 9  # nonnegative entropy word
-    if gamma_key < 0:
-        raise ConfigError(f"gammaDb={gamma_db} out of supported range")
-    ss = np.random.SeedSequence([int(master), SCHEMES.index(scheme), gamma_key])
-    return ss.spawn(2)[1]
-
-
-def _density_sampler(scheme: str, scenario: Scenario, grid, pdp, fd: float,
-                     gamma: float, gamma_hat):
-    order = scenario.orders[scheme]
-    if scheme == PA:
-        constellation = default_constellation(scheme, order)
-        return lambda n, rng: sample_coherent_density(gamma_hat, constellation, n, rng)
-    rho = (
-        fddi_correlation(pdp, grid.n_subcarriers)
-        if scheme == FDDI
-        else tddi_correlation(DopplerSpec(fd))
-    )
-    params = DiffChannelParams(gamma=gamma, rho=rho, order=order)
-    return lambda n, rng: sample_diff_density(params, n, rng)
-
-
 def _fmt(x) -> str:
     if x is None or x == "":
         return ""
@@ -239,7 +214,9 @@ def run_sweep(scenario: Scenario, output_path=None, include_bounds: bool = False
     """Run the full (scheme, fdTs, gammaDb) sweep; returns CSV text.
 
     One row per combination, schemes outermost. Bounds columns stay empty
-    unless include_bounds is set (they dominate runtime). A payload that
+    unless include_bounds is set; then each row gets the IS and DT bounds of
+    its equivalent channel's quadrature law from bounds.lattice_bounds, with
+    their deterministic error scale in the stderr columns. A payload that
     does not fit a scheme's data symbols gets an INFEASIBLE_PAYLOAD marker
     in its epsilonNA cell and the run continues.
     """
@@ -248,7 +225,6 @@ def run_sweep(scenario: Scenario, output_path=None, include_bounds: bool = False
     for scheme in scenario.schemes:
         order = scenario.orders[scheme]
         for gamma_db in scenario.gamma_db:
-            bound_seed = _bound_seed(scenario.seed, scheme, gamma_db)
             gamma = db_to_lin(gamma_db)
             for fd in scenario.fd_ts:
                 cells = {c: "" for c in CSV_COLUMNS}
@@ -263,8 +239,6 @@ def run_sweep(scenario: Scenario, output_path=None, include_bounds: bool = False
                         scenario.n_info_bits, order,
                     )
                 except InfeasiblePayloadError:
-                    from .grid import data_symbol_count
-
                     n = data_symbol_count(grid, scheme)
                     cells.update(N=n, R=scenario.n_info_bits / n,
                                  epsilonNA=INFEASIBLE_MARKER)
@@ -276,19 +250,11 @@ def run_sweep(scenario: Scenario, output_path=None, include_bounds: bool = False
                     cells["sigmaE2"] = res.sigma_e2
                     cells["gammaHatDb"] = lin_to_db(res.gamma_hat)
                 if include_bounds:
-                    sampler = _density_sampler(
-                        scheme, scenario, grid, pdp, fd, gamma, res.gamma_hat
-                    )
-                    blocks = bounds_mod.block_density_samples(
-                        sampler, res.n, scenario.n_samples, bound_seed
-                    )
-                    lo = bounds_mod.is_lower_bound(
-                        sampler, res.n, scenario.n_info_bits,
-                        block_samples=blocks,
-                    )
-                    hi = bounds_mod.dt_upper_bound(
-                        sampler, res.n, scenario.n_info_bits,
-                        block_samples=blocks,
+                    law = equivalent_channel(
+                        scheme, grid, pdp, DopplerSpec(fd), gamma, order
+                    ).law()
+                    lo, hi = lattice_bounds(
+                        law.densities, law.weights, res.n, scenario.n_info_bits
                     )
                     cells.update(
                         epsilonIS=lo.value, epsilonISstderr=lo.stderr,
@@ -490,18 +456,11 @@ def selftest(verbose: bool = True) -> bool:
         assert all(b >= a for a, b in zip(eps, eps[1:]))
 
     def sandwich():
-        pdp = exponential_pdp(5, 1.0)
-        rho = np.real(channel.freq_correlation(1, pdp, 64))
-        params = DiffChannelParams(gamma=db_to_lin(2.0), rho=rho, order=4)
-        iv = fbl.diff_quadrature_iv(params)
-        n, b = 126, 49
-        eps_na = fbl.normal_approx_bler(iv.i, iv.v, n, b / n)
-        sampler = lambda m, rng: fbl.sample_diff_density(params, m, rng)
-        blocks = bounds_mod.block_density_samples(sampler, n, 100_000, 321)
-        lo = bounds_mod.is_lower_bound(sampler, n, b, block_samples=blocks)
-        hi = bounds_mod.dt_upper_bound(sampler, n, b, block_samples=blocks)
-        assert lo.value - 3 * lo.stderr <= eps_na <= hi.value + 3 * hi.stderr
-        assert lo.value <= hi.value
+        # the bounds `sweep --bounds` reports, on the FDDi row of the default grid
+        scn = Scenario(schemes=(FDDI,), n_info_bits=49)
+        row = next(csv.DictReader(io.StringIO(run_sweep(scn, include_bounds=True))))
+        lo, na, hi = (float(row[c]) for c in ("epsilonIS", "epsilonNA", "epsilonDT"))
+        assert lo <= na <= hi, (lo, na, hi)
 
     def quadrature_vs_monte_carlo():
         gamma = db_to_lin(10.0)
@@ -656,7 +615,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("config")
     p_sweep.add_argument("-o", "--output", required=True, help="CSV output path")
     p_sweep.add_argument("--bounds", action="store_true",
-                         help="also compute IS/DT bounds (slow)")
+                         help="also compute IS/DT bounds")
     _add_override_flags(p_sweep)
 
     p_select = sub.add_parser("select", help="recommend a scheme at one point")

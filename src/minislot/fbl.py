@@ -31,10 +31,12 @@ scheme_fbl takes (I, V) from deterministic tensor quadrature of these
 densities: each channel is rotated so that one Rayleigh factor is real (z1
 for the pair, h for the coherent link), leaving its power q ~ Exp(1),
 integrated by Gauss-Legendre in ln q plus an exact node at q = 0, times a
-2-D Gauss-Hermite rule over one CN(0, 1) variable. The quadrature carries
+2-D Gauss-Hermite rule over one CN(0, 1) variable. The weighted nodes form
+a discrete per-use law (PerUseLaw): (I, V) are its moments, and
+minislot.bounds reads the IS/DT bounds off it. equivalent_channel is the one
+map from a scheme at an operating point to that law. The quadrature carries
 its truncation estimate where Monte Carlo carries a standard error. The
-samplers and the Monte Carlo estimators stay as the quadrature's reference
-and as the block samplers of the IS/DT bounds.
+samplers and the Monte Carlo estimators stay as the reference of both.
 
 Everything is evaluated in bits with log-sum-exp guarding. The normal
 approximation is available as epsilon and as ln epsilon, which stays finite
@@ -70,6 +72,8 @@ __all__ = [
     "InfeasiblePayloadError",
     "DiffChannelParams",
     "IvEstimate",
+    "PerUseLaw",
+    "EquivalentChannel",
     "FblResult",
     "awgn_capacity_dispersion",
     "normal_approx_bler",
@@ -83,6 +87,7 @@ __all__ = [
     "coherent_quadrature_iv",
     "fddi_correlation",
     "tddi_correlation",
+    "equivalent_channel",
     "scheme_fbl",
 ]
 
@@ -285,14 +290,23 @@ def _coherent_density(gamma_hat: float, h2, hw, d) -> np.ndarray:
     return _density_from_exponents(ex)
 
 
-def sample_diff_density(params: DiffChannelParams, n: int, rng) -> np.ndarray:
+def sample_diff_density(
+    params: DiffChannelParams, n: int, rng, chunk: int = 1 << 18,
+) -> np.ndarray:
     """n i.i.d. per-use information densities of the differential channel.
 
     i = log2 M - log2 sum_m exp(c (F(dphi_m) - F(dphi_0))) with the
     transmitted difference fixed to dphi_0 = 0 (PSK symmetry makes the
-    density's law input-independent).
+    density's law input-independent). Draws are made `chunk` at a time, so
+    n <= chunk consumes the same stream as one draw of n.
     """
-    return _diff_density(_sample_pair_product(params, n, rng), params)
+    out = np.empty(n)
+    done = 0
+    while done < n:
+        m = min(chunk, n - done)
+        out[done : done + m] = _diff_density(_sample_pair_product(params, m, rng), params)
+        done += m
+    return out
 
 
 def sample_coherent_density(
@@ -367,25 +381,37 @@ def _exp_rule(gamma: float, n_nodes: int):
     return np.concatenate(([0.0], q)), np.concatenate(([-np.expm1(-q_min)], wq))
 
 
-def _quadrature_iv(density, weights: np.ndarray, gamma: float) -> IvEstimate:
-    """(I, V) of density(q) -> (len(q), weights.size) against the q rule
-    times `weights`, with |fine - coarse q rule| as the error scale."""
+@dataclass(frozen=True)
+class PerUseLaw:
+    """Discrete law of the per-use information density (bits).
 
-    def moments(n_nodes):
-        q, wq = _exp_rule(gamma, n_nodes)
-        dens = density(q)
-        w = wq[:, None] * weights
-        i = float(np.sum(w * dens))
-        return i, float(np.sum(w * (dens - i) ** 2)), dens.size
+    The atoms are the quadrature nodes: densities[k, j] is the density at q
+    node k and at Gauss-Hermite node (times input class) j, and
+    weights[k, j] its probability. The weights sum to 1 up to the q rule's
+    truncation.
+    """
 
-    i, v, size = moments(Q_NODES)
-    i_coarse, v_coarse, _ = moments(Q_NODES_COARSE)
+    densities: np.ndarray
+    weights: np.ndarray
+
+    def moments(self):
+        """(I, V): the mean and variance of the law."""
+        i = float(np.sum(self.weights * self.densities))
+        return i, float(np.sum(self.weights * (self.densities - i) ** 2))
+
+
+def _quadrature_iv(law) -> IvEstimate:
+    """(I, V) of law(Q_NODES), with |law(Q_NODES) - law(Q_NODES_COARSE)|
+    as the error scale."""
+    fine = law(Q_NODES)
+    i, v = fine.moments()
+    i_coarse, v_coarse = law(Q_NODES_COARSE).moments()
     return IvEstimate(i=i, v=v, i_stderr=abs(i - i_coarse), v_stderr=abs(v - v_coarse),
-                      n_samples=size)
+                      n_samples=fine.densities.size)
 
 
-def diff_quadrature_iv(params: DiffChannelParams) -> IvEstimate:
-    """Deterministic (I, V) of the differential channel.
+def _diff_law(params: DiffChannelParams, n_nodes: int) -> PerUseLaw:
+    """Per-use law of the differential channel.
 
     With z1 rotated real, |z1|^2 = s q (s = 2 sigma^2) and
     z2 = (rho/s) z1 + e, e ~ CN(0, s - rho^2/s), so that
@@ -394,12 +420,14 @@ def diff_quadrature_iv(params: DiffChannelParams) -> IvEstimate:
     s = 2.0 * params.sigma2
     scale = np.sqrt(s * (s - params.rho ** 2 / s))
     w, ww = _cn_rule()
+    q, wq = _exp_rule(params.gamma, n_nodes)
+    p = params.rho * q[:, None] + (scale * np.sqrt(q))[:, None] * w
+    return PerUseLaw(_diff_density(p, params), wq[:, None] * ww)
 
-    def density(q):
-        p = params.rho * q[:, None] + (scale * np.sqrt(q))[:, None] * w
-        return _diff_density(p, params)
 
-    return _quadrature_iv(density, ww, params.gamma)
+def diff_quadrature_iv(params: DiffChannelParams) -> IvEstimate:
+    """Deterministic (I, V) of the differential channel."""
+    return _quadrature_iv(lambda n_nodes: _diff_law(params, n_nodes))
 
 
 def _input_classes(constellation: Constellation):
@@ -422,11 +450,11 @@ def _input_classes(constellation: Constellation):
     return pts, np.full(pts.size, 1.0 / pts.size)
 
 
-def coherent_quadrature_iv(gamma_hat: float, constellation: Constellation) -> IvEstimate:
-    """Deterministic (I, V) of the coherent fading channel.
+def _coherent_law(gamma_hat: float, constellation: Constellation, n_nodes: int) -> PerUseLaw:
+    """Per-use law of the coherent fading channel.
 
     With h rotated real, |h|^2 = q and conj(w) h = sqrt(q) conj(w); the
-    inputs are averaged over their symmetry classes.
+    inputs enter through their symmetry classes.
     """
     if gamma_hat <= 0.0:
         raise ValueError("gamma_hat must be positive")
@@ -434,13 +462,15 @@ def coherent_quadrature_iv(gamma_hat: float, constellation: Constellation) -> Iv
     reps, probs = _input_classes(constellation)
     w, ww = _cn_rule()
     d = reps[:, None] - pts[None, :]  # (classes, order)
+    q, wq = _exp_rule(gamma_hat, n_nodes)
+    hw = np.sqrt(q)[:, None, None] * np.conj(w)[None, :, None]
+    dens = _coherent_density(gamma_hat, q[:, None, None], hw, d[None, None])
+    return PerUseLaw(dens.reshape(q.size, -1), wq[:, None] * (ww[:, None] * probs).ravel())
 
-    def density(q):
-        hw = np.sqrt(q)[:, None, None] * np.conj(w)[None, :, None]
-        dens = _coherent_density(gamma_hat, q[:, None, None], hw, d[None, None])
-        return dens.reshape(q.size, -1)
 
-    return _quadrature_iv(density, (ww[:, None] * probs).ravel(), gamma_hat)
+def coherent_quadrature_iv(gamma_hat: float, constellation: Constellation) -> IvEstimate:
+    """Deterministic (I, V) of the coherent fading channel."""
+    return _quadrature_iv(lambda n_nodes: _coherent_law(gamma_hat, constellation, n_nodes))
 
 
 def _iv_from_samples(samples: np.ndarray) -> IvEstimate:
@@ -508,6 +538,66 @@ def tddi_correlation(doppler) -> float:
     return float(time_correlation(1, doppler))
 
 
+@dataclass(frozen=True)
+class EquivalentChannel:
+    """The per-use channel one scheme's decoder sees at one operating point.
+
+    Differential schemes carry their pair channel in `diff`; the
+    pilot-assisted scheme carries the coherent channel at the effective SNR
+    gamma_hat, with the estimation MSE sigma_e2 it came from.
+    """
+
+    scheme: str
+    diff: DiffChannelParams | None = None
+    gamma_hat: float | None = None
+    constellation: Constellation | None = None
+    sigma_e2: float | None = None
+
+    def law(self, n_nodes: int = Q_NODES) -> PerUseLaw:
+        """Per-use law on the n_nodes q rule."""
+        if self.diff is not None:
+            return _diff_law(self.diff, n_nodes)
+        return _coherent_law(self.gamma_hat, self.constellation, n_nodes)
+
+    def iv(self) -> IvEstimate:
+        """(I, V) of law(), with the q rule's truncation estimate."""
+        return _quadrature_iv(self.law)
+
+
+def equivalent_channel(
+    scheme: str,
+    grid: MiniSlotGrid,
+    pdp,
+    doppler,
+    gamma: float,
+    order: int,
+    constellation: Constellation | None = None,
+) -> EquivalentChannel:
+    """Map a scheme at one operating point to its equivalent channel.
+
+    Differential schemes map to the pair channel with their neighbor
+    correlation; the pilot-assisted scheme runs the estimation MSE
+    analysis and converts it to an effective SNR for the coherent channel.
+    """
+    if scheme == PA:
+        sigma_e2 = channel_estimation_mse(pdp, doppler, grid, gamma).sigma_e2
+        return EquivalentChannel(
+            scheme=PA,
+            gamma_hat=effective_snr(sigma_e2, 1.0 / gamma),
+            constellation=(constellation if constellation is not None
+                           else default_constellation(scheme, order)),
+            sigma_e2=sigma_e2,
+        )
+    if scheme in (FDDI, TDDI):
+        rho = (
+            fddi_correlation(pdp, grid.n_subcarriers)
+            if scheme == FDDI
+            else tddi_correlation(doppler)
+        )
+        return EquivalentChannel(scheme, DiffChannelParams(gamma=gamma, rho=rho, order=order))
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def scheme_fbl(
     scheme: str,
     grid: MiniSlotGrid,
@@ -520,12 +610,9 @@ def scheme_fbl(
 ) -> FblResult:
     """Normal-approximation BLER of one scheme at one operating point.
 
-    Differential schemes map to the equivalent pair channel with their
-    neighbor correlation; the pilot-assisted scheme runs the estimation MSE
-    analysis, converts it to an effective SNR, and evaluates the coherent
-    channel at that SNR. (I, V) come from the deterministic quadrature, so
-    the result is a function of the operating point alone. R = B/N against
-    the scheme's own data-symbol count.
+    (I, V) come from the deterministic quadrature of the scheme's
+    equivalent_channel, so the result is a function of the operating point
+    alone. R = B/N against the scheme's own data-symbol count.
     """
     n = data_symbol_count(grid, scheme)
     r = n_info_bits / n
@@ -534,24 +621,8 @@ def scheme_fbl(
             f"{scheme}: B={n_info_bits} over N={n} needs {r:.3f} bits/symbol "
             f"> log2(M)={np.log2(order):.3f}"
         )
-    sigma_e2 = None
-    gamma_hat = None
-    if scheme == PA:
-        mse = channel_estimation_mse(pdp, doppler, grid, gamma)
-        sigma_e2 = mse.sigma_e2
-        gamma_hat = effective_snr(sigma_e2, 1.0 / gamma)
-        if constellation is None:
-            constellation = default_constellation(scheme, order)
-        iv = coherent_quadrature_iv(gamma_hat, constellation)
-    elif scheme in (FDDI, TDDI):
-        rho = (
-            fddi_correlation(pdp, grid.n_subcarriers)
-            if scheme == FDDI
-            else tddi_correlation(doppler)
-        )
-        iv = diff_quadrature_iv(DiffChannelParams(gamma=gamma, rho=rho, order=order))
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    channel = equivalent_channel(scheme, grid, pdp, doppler, gamma, order, constellation)
+    iv = channel.iv()
     return FblResult(
         scheme=scheme,
         i=iv.i,
@@ -562,6 +633,6 @@ def scheme_fbl(
         log_epsilon=normal_approx_log_bler(iv.i, iv.v, n, r),
         i_stderr=iv.i_stderr,
         v_stderr=iv.v_stderr,
-        sigma_e2=sigma_e2,
-        gamma_hat=gamma_hat,
+        sigma_e2=channel.sigma_e2,
+        gamma_hat=channel.gamma_hat,
     )

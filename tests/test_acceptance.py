@@ -16,7 +16,12 @@ import pytest
 
 import minislot
 from minislot._util import db_to_lin, lin_to_db
-from minislot.bounds import block_density_samples, dt_upper_bound, is_lower_bound
+from minislot.bounds import (
+    block_density_samples,
+    dt_upper_bound,
+    is_lower_bound,
+    lattice_bounds,
+)
 from minislot.channel import (
     DopplerSpec,
     exponential_pdp,
@@ -37,6 +42,7 @@ from minislot.fbl import (
     awgn_capacity_dispersion,
     coherent_capacity_dispersion,
     diff_capacity_dispersion,
+    equivalent_channel,
     fddi_correlation,
     normal_approx_bler,
     sample_coherent_density,
@@ -80,7 +86,10 @@ def _density_sampler(scheme, gamma, fd, order=4, gamma_hat=None):
 def test_criterion_1_bound_sandwich():
     """Normal approximation sits between the IS lower and DT upper bounds
     (two sigma slack) for every scheme at 0/2/4 dB, payload tuned so the
-    predicted BLER lands in [1e-3, 1e-1]."""
+    predicted BLER lands in [1e-3, 1e-1]. The deterministic bounds that
+    `sweep --bounds` reports hold IS <= NA <= DT at the same points and
+    agree with the Monte Carlo bounds within 3 standard errors plus their
+    own error scale."""
     failures = []
     for scheme_idx, scheme in enumerate((PA, FDDI, TDDI)):
         for gamma_idx, gamma_db in enumerate((0.0, 2.0, 4.0)):
@@ -112,6 +121,22 @@ def test_criterion_1_bound_sandwich():
             print(("PASS " if ok else "FAIL ") + line)
             if not ok:
                 failures.append(line)
+            law = equivalent_channel(
+                scheme, GRID_T2, PDP, DopplerSpec(0.01), gamma, 4).law()
+            det_lo, det_hi = lattice_bounds(law.densities, law.weights, n, b)
+            det_ok = (
+                det_lo.value <= eps <= det_hi.value
+                and abs(det_lo.value - lo.value) <= 3 * lo.stderr + det_lo.stderr
+                and abs(det_hi.value - hi.value) <= 3 * hi.stderr + det_hi.stderr
+            )
+            det_line = (
+                f"{scheme} {gamma_db:g}dB B={b}: lattice "
+                f"IS={det_lo.value:.4e}(err {det_lo.stderr:.1e}) "
+                f"DT={det_hi.value:.4e}(err {det_hi.stderr:.1e})"
+            )
+            print(("PASS " if det_ok else "FAIL ") + det_line)
+            if not det_ok:
+                failures.append(det_line)
     assert not failures, "\n".join(failures)
 
 

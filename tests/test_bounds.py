@@ -1,16 +1,26 @@
-"""Monte Carlo converse/achievability bounds on block error probability."""
+"""Converse/achievability bounds on block error probability: the
+deterministic lattice bounds and their Monte Carlo reference."""
+
+import math
 
 import numpy as np
 import pytest
 
 from minislot.bounds import (
-    BoundEstimate,
+    FFT_ROUNDOFF,
     block_density_samples,
     dt_upper_bound,
     is_lower_bound,
+    lattice_bounds,
     _dt_threshold,
 )
-from minislot.fbl import DiffChannelParams, sample_diff_density
+from minislot.fbl import (
+    DiffChannelParams,
+    EquivalentChannel,
+    sample_coherent_density,
+    sample_diff_density,
+)
+from minislot.grid import FDDI, PA, psk
 
 
 def _counting_sampler(n, rng):
@@ -155,18 +165,90 @@ def test_bound_input_validation():
     with pytest.raises(ValueError):
         dt_upper_bound(lambda n, rng: rng.standard_normal(n), 4, 4,
                        n_samples=99_999, seed=0)
+    for densities, weights, n_uses, b in (
+        ([0.0, 1.0], [0.5], 4, 4),  # one weight per density
+        ([0.0, 1.0], [1.5, -0.5], 4, 4),
+        ([0.0, 1.0], [0.0, 0.0], 4, 4),
+        ([0.0, 1.0], [0.5, 0.5], 0, 4),
+        ([0.0, 1.0], [0.5, 0.5], 4, 0),
+    ):
+        with pytest.raises(ValueError):
+            lattice_bounds(densities, weights, n_uses, b)
 
 
-def test_bound_estimate_csv_format():
-    est = BoundEstimate("IS", 0.123456789012345, 0.001, 1000, 7.5)
-    header = BoundEstimate.csv_header()
-    row = est.csv_row()
-    assert header.split(",") == ["kind", "value", "stderr", "nSamples",
-                                 "log2betaStar"]
-    fields = row.split(",")
-    assert fields[0] == "IS"
-    assert fields[1] == "0.123456789012"
-    assert fields[3] == "1000"
-    assert fields[4] == "7.5"
-    dt = BoundEstimate("DT", 0.5, 0.0, 10, None)
-    assert dt.csv_row().split(",")[4] == ""
+def _two_atom_block_law(n_uses, low, high, p_high):
+    """Exact law of i_N when each use is `high` w.p. p_high, else `low`:
+    support ascending in the binomial count of high uses."""
+    j = np.arange(n_uses + 1)
+    pmf = np.array([math.comb(n_uses, k) for k in j]) * p_high ** j * (1 - p_high) ** (n_uses - j)
+    return low * (n_uses - j) + high * j, pmf
+
+
+@pytest.mark.parametrize("n_uses, b", ((20, 8), (20, 12), (30, 10)))
+def test_lattice_bounds_two_atom_law_is_binomial(n_uses, b):
+    """Atoms on the lattice bin exactly, so the FFT law of i_N is the
+    binomial law and IS and DT take their exact values."""
+    t, pmf = _two_atom_block_law(n_uses, -2.0, 1.5, 0.7)
+    exact_is = max(0.0, float(np.max(np.cumsum(pmf) - np.exp2(t - b))))
+    exact_dt = float(pmf @ np.exp2(-np.maximum(t - _dt_threshold(b), 0.0)))
+    lo, hi = lattice_bounds([-2.0, 1.5], [0.3, 0.7], n_uses, b)
+    assert 0.1 < exact_is < exact_dt < 1.0
+    assert (lo.kind, hi.kind) == ("IS", "DT")
+    assert abs(lo.value - exact_is) <= lo.stderr <= 2 * FFT_ROUNDOFF
+    assert abs(hi.value - exact_dt) <= hi.stderr <= 2 * FFT_ROUNDOFF
+    assert lo.log2_beta_star in t
+    assert lo.n_samples == hi.n_samples == 2
+
+
+def test_lattice_bounds_tail_below_floor_is_conservative():
+    """A use below -20 bits leaves IS's CDF and counts as an error in DT;
+    the error scale covers the mass so moved."""
+    p_in = (1 - 1e-3) ** 10
+    lo, _ = lattice_bounds([-30.0, 1.0], [1e-3, 1 - 1e-3], 10, 12)
+    assert lo.value == pytest.approx(p_in - 0.25, abs=1e-12)
+    assert lo.value + lo.stderr >= 1.0 - 0.25
+    _, hi = lattice_bounds([-30.0, 1.0], [1e-3, 1 - 1e-3], 10, 4)
+    want = p_in * 2.0 ** -(10 - _dt_threshold(4)) + (1 - p_in)
+    assert hi.value == pytest.approx(want, abs=1e-12)
+    assert hi.stderr >= 1 - p_in
+
+
+def test_lattice_bounds_floor_and_clip():
+    """Far below the payload's threshold, IS clips at 0 and DT (exactly
+    2^-191 here) reads the round-off floor; neither leaves [0, 1]."""
+    lo, hi = lattice_bounds([2.0], [1.0], 100, 10)
+    assert lo.value == 0.0
+    assert hi.value == FFT_ROUNDOFF
+    _, hi = lattice_bounds([-30.0, 1.0], [1e-3, 1 - 1e-3], 10, 12)
+    assert hi.value == 1.0
+
+
+DIFF_CHANNEL = EquivalentChannel(FDDI, diff=DiffChannelParams(gamma=1.585, rho=0.98, order=4))
+PA_CHANNEL = EquivalentChannel(PA, gamma_hat=1.585, constellation=psk(4))
+
+
+def test_lattice_bounds_monotone_in_payload():
+    law = DIFF_CHANNEL.law()
+    pairs = [lattice_bounds(law.densities, law.weights, 24, b) for b in (10, 14, 18, 22, 26)]
+    is_vals = [lo.value for lo, _ in pairs]
+    dt_vals = [hi.value for _, hi in pairs]
+    assert all(b2 > b1 for b1, b2 in zip(is_vals, is_vals[1:]))
+    assert all(b2 > b1 for b1, b2 in zip(dt_vals, dt_vals[1:]))
+    assert all(lo <= hi for lo, hi in zip(is_vals, dt_vals))
+
+
+@pytest.mark.parametrize("channel, sampler, b", [
+    (DIFF_CHANNEL, lambda n, rng: sample_diff_density(DIFF_CHANNEL.diff, n, rng), 18),
+    (PA_CHANNEL, lambda n, rng: sample_coherent_density(1.585, psk(4), n, rng), 24),
+], ids=("differential", "coherent"))
+def test_lattice_bounds_agree_with_monte_carlo(channel, sampler, b):
+    """The quadrature law's bounds against 2e5 sampled blocks of the
+    channel: within 3 standard errors plus the reported error scale."""
+    law = channel.law()
+    lo, hi = lattice_bounds(law.densities, law.weights, 24, b)
+    blocks = block_density_samples(sampler, 24, 200_000, seed=21)
+    mc_lo = is_lower_bound(sampler, 24, b, block_samples=blocks)
+    mc_hi = dt_upper_bound(sampler, 24, b, block_samples=blocks)
+    assert 1e-3 < lo.value < hi.value < 0.9
+    assert abs(lo.value - mc_lo.value) <= 3 * mc_lo.stderr + lo.stderr, (lo, mc_lo)
+    assert abs(hi.value - mc_hi.value) <= 3 * mc_hi.stderr + hi.stderr, (hi, mc_hi)

@@ -179,6 +179,20 @@ def test_run_sweep_bounds_columns():
     assert float(row["epsilonDTstderr"]) > 0.0
 
 
+def test_run_sweep_bounds_ignore_seed_and_samples():
+    """The bounds come from the quadrature law: seed and nSamples reach only
+    their own columns, and every row keeps IS <= NA <= DT."""
+    doc = {**SMALL, "fdTs": [0.01], "gammaDb": [2.0], "B": 64}
+    a = _rows(run_sweep(Scenario.from_json(doc), include_bounds=True))
+    b = _rows(run_sweep(Scenario.from_json({**doc, "seed": 4, "nSamples": 50_000}),
+                        include_bounds=True))
+    drop = lambda rows: [{k: v for k, v in r.items() if k not in ("seed", "nSamples")}
+                         for r in rows]
+    assert drop(a) == drop(b)
+    for row in a:
+        assert float(row["epsilonIS"]) <= float(row["epsilonNA"]) <= float(row["epsilonDT"])
+
+
 def test_select_internally_consistent():
     sc = Scenario.from_json({**SMALL, "fdTs": [0.01], "gammaDb": [2.0]})
     rec = select_scheme(sc)
@@ -393,7 +407,16 @@ def test_main_config_errors_exit_1(tmp_path, capsys):
     ({"M": {"PA": 4, "FDDi": 6, "TDDi": 4}}, "power of two"),
     ({"M": {"PA": "x", "FDDi": 4, "TDDi": 4}}, "invalid literal"),
     ({"pdp": [1, 2]}, "pdp"),
-], ids=("mobility-string", "mobility-int", "M-3", "M-map-6", "M-map-text", "pdp-list"))
+    ({"gammaDb": float("nan")}, "gammaDb values must be finite"),
+    ({"fdTs": float("nan")}, "fdTs values must be finite"),
+    ({"fdTs": float("inf")}, "fdTs values must be finite"),
+    ({"schemes": "PA"}, "schemes must be a list"),
+    ({"schemes": []}, "at least one scheme"),
+    ({"K": float("inf")}, "infinity"),
+    ({"pdp": {"L": 5, "decay": float("nan")}}, "decay"),
+], ids=("mobility-string", "mobility-int", "M-3", "M-map-6", "M-map-text", "pdp-list",
+        "gamma-nan", "fd-nan", "fd-inf", "schemes-string", "schemes-empty", "K-inf",
+        "decay-nan"))
 def test_main_strict_config_types_exit_1(tmp_path, capsys, doc, message):
     cfg = _write_config(tmp_path, {"fdTs": 0.01, "gammaDb": 2.0, **doc})
     assert main(["select", cfg]) == 1

@@ -11,6 +11,7 @@ from minislot._util import db_to_lin
 from minislot.channel import DopplerSpec, PowerDelayProfile, exponential_pdp
 from minislot.fbl import (
     DiffChannelParams,
+    EquivalentChannel,
     InfeasiblePayloadError,
     ModelFidelityWarning,
     _iv_from_samples,
@@ -20,6 +21,7 @@ from minislot.fbl import (
     diff_capacity_dispersion,
     diff_quadrature_iv,
     diff_transition_logpdf,
+    equivalent_channel,
     fddi_correlation,
     normal_approx_bler,
     normal_approx_log_bler,
@@ -244,6 +246,16 @@ def test_coherent_density_chunking_invariant():
     assert np.array_equal(a, b)
 
 
+def test_diff_density_chunks_continue_one_stream():
+    """Chunked draws are the draws of the chunks in turn; n <= chunk is one
+    draw of n, so streams up to 2^18 draws match the unchunked sampler."""
+    params = DiffChannelParams(gamma=2.0, rho=0.9, order=8)
+    a = sample_diff_density(params, 1000, np.random.default_rng(5), chunk=300)
+    rng = np.random.default_rng(5)
+    b = np.concatenate([sample_diff_density(params, m, rng) for m in (300, 300, 300, 100)])
+    assert np.array_equal(a, b)
+
+
 def test_coherent_iv_matches_quadrature_oracle():
     gh = oracles.quad_bpsk_iv(oracles.BPSK_POINT["gamma_hat"])
     assert gh[0] == pytest.approx(oracles.BPSK_QUAD[0], abs=1e-12)
@@ -335,6 +347,37 @@ def test_quadrature_symmetry_reduction_matches_all_inputs():
             b = coherent_quadrature_iv(gamma_hat, full)
             assert a.i == pytest.approx(b.i, abs=tol), (const.kind, const.order, gamma_hat)
             assert a.v == pytest.approx(b.v, abs=tol), (const.kind, const.order, gamma_hat)
+
+
+@pytest.mark.parametrize("channel, frozen", [
+    (EquivalentChannel(FDDI, diff=DiffChannelParams(gamma=db_to_lin(2.0), rho=0.9949735, order=4)),
+     (0.5716512163871671, 1.0392778436398311)),
+    (EquivalentChannel(PA, gamma_hat=10.0, constellation=qam(16)),
+     (2.593518140089126, 2.429667071009109)),
+], ids=("differential", "16QAM"))
+def test_iv_are_the_moments_of_the_per_use_law(channel, frozen):
+    """(I, V) are the moments of the law the bounds read, bit for bit the
+    values the quadrature gave before the law was factored out (frozen)."""
+    law = channel.law()
+    assert law.moments() == frozen
+    iv = channel.iv()
+    assert (iv.i, iv.v) == frozen
+    assert law.densities.shape == law.weights.shape
+    assert law.weights.min() >= 0.0
+    assert law.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_scheme_fbl_reads_its_equivalent_channel():
+    pdp = exponential_pdp(5, 1.0)
+    grid = make_grid()
+    for scheme in (PA, FDDI, TDDI):
+        channel = equivalent_channel(scheme, grid, pdp, DopplerSpec(0.05), 2.0, 4)
+        res = scheme_fbl(scheme, grid, pdp, DopplerSpec(0.05), 2.0, 64, 4)
+        iv = channel.iv()
+        assert (res.i, res.v, res.i_stderr) == (iv.i, iv.v, iv.i_stderr)
+        assert (res.sigma_e2, res.gamma_hat) == (channel.sigma_e2, channel.gamma_hat)
+    with pytest.raises(ValueError):
+        equivalent_channel("DPSK", grid, pdp, DopplerSpec(0.05), 2.0, 4)
 
 
 def test_iv_estimators_reject_tiny_sample_counts():
