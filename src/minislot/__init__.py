@@ -22,7 +22,6 @@ from .channel import (
     sample_channel_grid,
     sample_channel_grids,
     time_correlation,
-    time_freq_correlation,
 )
 from .grid import (
     FDDI,
@@ -34,11 +33,9 @@ from .grid import (
     MiniSlotGrid,
     PilotPattern,
     ReClass,
-    SchemeConfig,
     classify,
     data_symbol_count,
     default_constellation,
-    match_coding_rates,
     psk,
     qam,
     standard_pattern,
@@ -117,12 +114,11 @@ __all__ = [
     # channel
     "ChannelGrid", "DopplerSpec", "PowerDelayProfile", "exponential_pdp",
     "freq_correlation", "sample_channel_grid", "sample_channel_grids",
-    "time_correlation", "time_freq_correlation",
+    "time_correlation",
     # grid
     "FDDI", "MINI_SLOT_LENGTHS", "PA", "SCHEMES", "TDDI", "Constellation",
-    "MiniSlotGrid", "PilotPattern", "ReClass", "SchemeConfig", "classify",
-    "data_symbol_count", "default_constellation", "match_coding_rates",
-    "psk", "qam", "standard_pattern",
+    "MiniSlotGrid", "PilotPattern", "ReClass", "classify",
+    "data_symbol_count", "default_constellation", "psk", "qam", "standard_pattern",
     # modem
     "DegenerateEstimateError", "DiffDecision", "RxGrid", "SymbolGrid",
     "coherent_detect", "differential_detect", "differential_encode",

@@ -28,7 +28,6 @@ __all__ = [
     "exponential_pdp",
     "time_correlation",
     "freq_correlation",
-    "time_freq_correlation",
     "sample_channel_grid",
     "sample_channel_grids",
 ]
@@ -117,14 +116,6 @@ def freq_correlation(delta_k: int, pdp: PowerDelayProfile, n_subcarriers: int) -
     lags = np.arange(pdp.n_taps, dtype=float)
     phase = np.exp(-2j * np.pi * lags * float(delta_k) / n_subcarriers)
     return complex(np.sum(pdp.taps * phase))
-
-
-def time_freq_correlation(delta_k, delta_t, pdp, doppler, n_subcarriers) -> complex:
-    """Joint correlation; factors exactly into time * frequency parts."""
-    return complex(
-        time_correlation(delta_t, doppler)
-        * freq_correlation(delta_k, pdp, n_subcarriers)
-    )
 
 
 def _jakes_sqrt(fd_ts: float, n_symbols: int) -> np.ndarray:

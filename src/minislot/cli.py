@@ -12,8 +12,10 @@ A scenario JSON configures the grid, channel, payload and sweep axes:
     }
 
 fdTs and gammaDb accept a scalar or a finite ascending list; M accepts one
-order or a per-scheme mapping. CLI flags override individual fields, and the
-master seed resolves as --seed flag > FBL_SEED environment variable > config.
+order or a per-scheme mapping. CONFIG_FIELDS gives each key its Scenario
+field and its flag; flag text is merged into the document, and
+Scenario.__post_init__ validates the result, so a bad value fails the same
+way (exit 1) from the file, a flag or Python.
 
 Every output is a function of the operating point alone. (I, V) and the
 normal approximation come from deterministic quadrature, and `sweep
@@ -35,9 +37,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +52,10 @@ from .fbl import (
     equivalent_channel,
     scheme_fbl,
 )
-from .grid import FDDI, PA, SCHEMES, TDDI, MiniSlotGrid, data_symbol_count, qam, standard_pattern
+from .grid import (
+    FDDI, MINI_SLOT_LENGTHS, PA, SCHEMES, TDDI, MiniSlotGrid, data_symbol_count, qam,
+    standard_pattern,
+)
 
 __all__ = ["ConfigError", "Scenario", "Recommendation",
            "run_sweep", "select_scheme", "doppler_crossover", "selftest", "main"]
@@ -73,21 +77,67 @@ class ConfigError(ValueError):
     """Scenario or flag validation failed."""
 
 
-def _as_sweep(value, name: str) -> tuple:
-    vals = [value] if np.isscalar(value) else list(value)
+# Largest accepted K, M and |gammaDb|. The pilot covariance is a
+# (K/deltaSub)^2 matrix and the --bounds lattice grows with N (a K=1024,
+# T=7 bounds sweep takes 5-17 s and 660-770 MB); the coherent law's arrays
+# grow with M (a 64-QAM PA select peaks near 350 MB); and 2000 dB overflows
+# the differential channel's coefficients, while +-300 dB still evaluates.
+K_MAX = 1024
+M_MAX = 64
+GAMMA_DB_MAX = 300.0
+# exp(-decay * (L - 1)) of the weakest tap stays a normal double up to here
+_DECAY_SPAN_MAX = 700.0
+_INT_MAX = 2**63 - 1
+
+
+def _integer(value, name: str, lo: int, hi: int = _INT_MAX) -> int:
+    """value as an int in [lo, hi]; floats count when integral (1e6)."""
+    integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
+    v = int(value) if integral else value
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool) and lo <= v <= hi:
+        return int(v)
+    top = "2**63 - 1" if hi == _INT_MAX else hi
+    raise ConfigError(f"{name} must be an integer in [{lo}, {top}], got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """value as a finite float; booleans and strings are no numbers."""
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if number and abs(value) <= sys.float_info.max:  # False for nan, inf, huge ints
+        return float(value)
+    raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def _sweep(value, name: str, lo: float, hi: float) -> tuple:
+    """A scalar or a strictly ascending list of finite values in [lo, hi]."""
+    vals = tuple(value) if isinstance(value, (list, tuple)) else (value,)
     if not vals:
         raise ConfigError(f"{name} sweep must not be empty")
-    out = tuple(float(v) for v in vals)
-    if not all(np.isfinite(out)):
-        raise ConfigError(f"{name} values must be finite numbers")
+    out = tuple(_real(v, f"{name} values") for v in vals)
+    if not all(lo <= v <= hi for v in out):
+        raise ConfigError(f"{name} values must lie in [{lo:g}, {hi:g}], got {list(out)}")
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ConfigError(f"{name} sweep must be strictly ascending")
     return out
 
 
+def _order(value, name: str) -> int:
+    m = _integer(value, name, 2, M_MAX)
+    if m & (m - 1):
+        raise ConfigError(f"{name} must be a power of two in [2, {M_MAX}], got {value!r}")
+    return m
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """One validated run configuration."""
+    """One validated run configuration.
+
+    Construction checks every field, whether the values come from JSON,
+    from flags or from Python: a value of the wrong type or outside its
+    range raises ConfigError with a one-line message. Integral floats such
+    as 1e6 count as integers; fdTs and gammaDb become tuples, M becomes a
+    scheme -> order map.
+    """
 
     n_subcarriers: int = 64
     n_symbols: int = 2
@@ -104,100 +154,118 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "fd_ts", _as_sweep(self.fd_ts, "fdTs"))
-        object.__setattr__(self, "gamma_db", _as_sweep(self.gamma_db, "gammaDb"))
-        object.__setattr__(self, "schemes", tuple(self.schemes))
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        k = _integer(self.n_subcarriers, "K", 2, K_MAX)
+        put("n_subcarriers", k)
+        put("n_symbols", _integer(self.n_symbols, "T", 2, 7))
+        if self.n_symbols not in MINI_SLOT_LENGTHS:
+            raise ConfigError(f"T must be one of {MINI_SLOT_LENGTHS}, got {self.n_symbols}")
+        # at least two pilots per pilot symbol, as linear interpolation needs
+        put("delta_sub", _integer(self.delta_sub, "deltaSub", 1, k // 2))
+        if k % self.delta_sub:
+            raise ConfigError(f"deltaSub must divide K={k}, got {self.delta_sub}")
+        if not isinstance(self.high_mobility, bool):
+            raise ConfigError(f"highMobility must be true or false, got {self.high_mobility!r}")
+        put("pdp_taps", _integer(self.pdp_taps, "pdp.L", 1, k - 1))  # K > L
+        put("pdp_decay", _real(self.pdp_decay, "pdp.decay"))
+        if self.pdp_decay < 0.0 or self.pdp_decay * (self.pdp_taps - 1) > _DECAY_SPAN_MAX:
+            raise ConfigError(
+                f"pdp.decay must be >= 0 with decay * (L - 1) <= {_DECAY_SPAN_MAX:g}, "
+                f"got {self.pdp_decay!r}"
+            )
+        put("fd_ts", _sweep(self.fd_ts, "fdTs", 0.0, np.inf))
+        put("gamma_db", _sweep(self.gamma_db, "gammaDb", -GAMMA_DB_MAX, GAMMA_DB_MAX))
+        put("n_info_bits", _integer(self.n_info_bits, "B", 1))
+        if not isinstance(self.schemes, (list, tuple)):
+            raise ConfigError(f"schemes must be a list of scheme names, got {self.schemes!r}")
+        put("schemes", tuple(self.schemes))
         if not self.schemes:
             raise ConfigError("schemes must name at least one scheme")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}; choose from {SCHEMES}")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ConfigError(f"schemes must not repeat, got {list(self.schemes)}")
         if isinstance(self.orders, dict):
+            unknown = [s for s in self.orders if s not in SCHEMES]
+            if unknown:
+                raise ConfigError(f"unknown M keys {unknown}; choose from {SCHEMES}")
+            put("orders", {s: _order(m, f"M for {s}") for s, m in self.orders.items()})
             missing = [s for s in self.schemes if s not in self.orders]
             if missing:
                 raise ConfigError(f"no modulation order given for {missing}")
         else:
-            object.__setattr__(
-                self, "orders", {s: int(self.orders) for s in SCHEMES}
-            )
-        for s in self.schemes:
-            m = self.orders[s]
-            if m < 2 or m & (m - 1):
-                raise ConfigError(f"M for {s} must be a power of two >= 2, got {m}")
-        if self.n_info_bits < 1:
-            raise ConfigError("B must be >= 1")
-        if self.n_samples < 10_000:
-            raise ConfigError("nSamples must be >= 1e4")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        if any(fd < 0 for fd in self.fd_ts):
-            raise ConfigError("fdTs must be >= 0")
+            m = _order(self.orders, "M")
+            put("orders", {s: m for s in SCHEMES})
+        put("n_samples", _integer(self.n_samples, "nSamples", 10_000))
+        put("seed", _integer(self.seed, "seed", 0))
 
     @classmethod
     def from_json(cls, doc: dict) -> "Scenario":
-        known = {
-            "K", "T", "deltaSub", "highMobility", "pdp", "fdTs", "gammaDb",
-            "B", "M", "schemes", "nSamples", "seed",
-        }
-        unknown = set(doc) - known
+        """Scenario from a parsed JSON object keyed as in CONFIG_FIELDS."""
+        pdp = doc.get("pdp", {})
+        if not isinstance(pdp, dict):
+            raise ConfigError("pdp must be an object with L and decay")
+        flat = [(k, v) for k, v in doc.items() if k != "pdp" and "." not in k]
+        flat += [(f"pdp.{k}", v) for k, v in pdp.items()]
+        unknown = [k for k, _ in flat if k not in _FIELD_OF]
+        unknown += [k for k in doc if "." in k]
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            kwargs = {}
-            if "K" in doc:
-                kwargs["n_subcarriers"] = int(doc["K"])
-            if "T" in doc:
-                kwargs["n_symbols"] = int(doc["T"])
-            if "deltaSub" in doc:
-                kwargs["delta_sub"] = int(doc["deltaSub"])
-            if "highMobility" in doc:
-                if not isinstance(doc["highMobility"], bool):
-                    raise ConfigError("highMobility must be true or false")
-                kwargs["high_mobility"] = doc["highMobility"]
-            if "pdp" in doc:
-                pdp = doc["pdp"]
-                if not isinstance(pdp, dict):
-                    raise ConfigError("pdp must be an object with L and decay")
-                kwargs["pdp_taps"] = int(pdp.get("L", 5))
-                kwargs["pdp_decay"] = float(pdp.get("decay", 1.0))
-            if "fdTs" in doc:
-                kwargs["fd_ts"] = doc["fdTs"]
-            if "gammaDb" in doc:
-                kwargs["gamma_db"] = doc["gammaDb"]
-            if "B" in doc:
-                kwargs["n_info_bits"] = int(doc["B"])
-            if "M" in doc:
-                m = doc["M"]
-                kwargs["orders"] = (
-                    {k: int(v) for k, v in m.items()} if isinstance(m, dict) else int(m)
-                )
-            if "schemes" in doc:
-                if not isinstance(doc["schemes"], list):
-                    raise ConfigError("schemes must be a list of scheme names")
-                kwargs["schemes"] = doc["schemes"]
-            if "nSamples" in doc:
-                kwargs["n_samples"] = int(doc["nSamples"])
-            if "seed" in doc:
-                kwargs["seed"] = int(doc["seed"])
-            return cls(**kwargs)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**{_FIELD_OF[k]: v for k, v in flat})
 
     def build(self):
         """Grid and power delay profile for this scenario."""
-        try:
-            pattern = standard_pattern(
-                self.n_symbols, self.high_mobility, self.delta_sub
-            )
-            grid = MiniSlotGrid(self.n_subcarriers, self.n_symbols, pattern)
-            pdp = exponential_pdp(self.pdp_taps, self.pdp_decay)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.pdp_taps >= self.n_subcarriers:
-            raise ConfigError("need K > L")
-        return grid, pdp
+        pattern = standard_pattern(self.n_symbols, self.high_mobility, self.delta_sub)
+        grid = MiniSlotGrid(self.n_subcarriers, self.n_symbols, pattern)
+        return grid, exponential_pdp(self.pdp_taps, self.pdp_decay)
+
+
+def _flag_value(text: str):
+    """Flag text as the JSON value it spells; other text stays a string."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text.strip()
+
+
+def _flag_list(text: str) -> list:
+    return [_flag_value(x) for x in text.split(",") if x.strip()]
+
+
+def _flag_orders(text: str):
+    if "=" not in text:
+        return _flag_value(text)
+    pairs = (part.partition("=") for part in text.split(","))
+    return {k.strip(): _flag_value(v) for k, _, v in pairs}
+
+
+def _flag_bool(text: str):
+    return {"0": False, "1": True}.get(text.strip(), _flag_value(text))
+
+
+# One row per config field: JSON key ("pdp.L" is member L of the "pdp"
+# object), Scenario field, flag, how the flag's text becomes the JSON value,
+# and the flag's help. Flags are merged into the document before
+# validation, so a bad flag value fails like the same value in the file.
+CONFIG_FIELDS = (
+    ("K", "n_subcarriers", "--k", _flag_value, "subcarriers"),
+    ("T", "n_symbols", "--t", _flag_value, "OFDM symbols: 2, 4 or 7"),
+    ("deltaSub", "delta_sub", "--delta-sub", _flag_value, "pilot spacing"),
+    ("highMobility", "high_mobility", "--high-mobility", _flag_bool, "0 or 1"),
+    ("pdp.L", "pdp_taps", "--taps", _flag_value, "channel taps"),
+    ("pdp.decay", "pdp_decay", "--decay", _flag_value, "tap power decay"),
+    ("fdTs", "fd_ts", "--fd-ts", _flag_list, "comma-separated ascending list"),
+    ("gammaDb", "gamma_db", "--gamma-db", _flag_list, "comma-separated ascending list"),
+    ("B", "n_info_bits", "--b", _flag_value, "payload bits"),
+    ("M", "orders", "--m", _flag_orders, "one order, or pairs like PA=16,FDDi=4"),
+    ("schemes", "schemes", "--schemes", _flag_list, "comma-separated"),
+    ("nSamples", "n_samples", "--n-samples", _flag_value, "echoed in its column"),
+    ("seed", "seed", "--seed", _flag_value, "echoed in its column"),
+)
+_FIELD_OF = {key: name for key, name, *_ in CONFIG_FIELDS}
 
 
 def _fmt(x) -> str:
@@ -505,94 +573,29 @@ def selftest(verbose: bool = True) -> bool:
 # ---------------------------------------------------------------------------
 
 def _add_override_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed (overrides FBL_SEED and the config)")
-    p.add_argument("--k", type=int, default=None, help="override K")
-    p.add_argument("--t", type=int, default=None, help="override T")
-    p.add_argument("--delta-sub", type=int, default=None, help="override deltaSub")
-    p.add_argument("--high-mobility", type=int, choices=(0, 1), default=None,
-                   help="override highMobility")
-    p.add_argument("--taps", type=int, default=None, help="override pdp.L")
-    p.add_argument("--decay", type=float, default=None, help="override pdp.decay")
-    p.add_argument("--fd-ts", type=str, default=None,
-                   help="override fdTs (comma-separated ascending list)")
-    p.add_argument("--gamma-db", type=str, default=None,
-                   help="override gammaDb (comma-separated ascending list)")
-    p.add_argument("--b", type=int, default=None, help="override payload B")
-    p.add_argument("--m", type=str, default=None,
-                   help="override M: one order, or scheme=order pairs "
-                        "(e.g. 'PA=16,FDDi=4')")
-    p.add_argument("--schemes", type=str, default=None,
-                   help="override schemes (comma-separated)")
-    p.add_argument("--n-samples", type=int, default=None, help="override nSamples")
-
-
-def _parse_float_list(text: str):
-    return [float(x) for x in text.split(",") if x.strip() != ""]
-
-
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    updates = {}
-    if args.k is not None:
-        updates["n_subcarriers"] = args.k
-    if args.t is not None:
-        updates["n_symbols"] = args.t
-    if args.delta_sub is not None:
-        updates["delta_sub"] = args.delta_sub
-    if args.high_mobility is not None:
-        updates["high_mobility"] = bool(args.high_mobility)
-    if args.taps is not None:
-        updates["pdp_taps"] = args.taps
-    if args.decay is not None:
-        updates["pdp_decay"] = args.decay
-    if args.fd_ts is not None:
-        updates["fd_ts"] = tuple(_parse_float_list(args.fd_ts))
-    if args.gamma_db is not None:
-        updates["gamma_db"] = tuple(_parse_float_list(args.gamma_db))
-    if args.b is not None:
-        updates["n_info_bits"] = args.b
-    if args.m is not None:
-        if "=" in args.m:
-            orders = {}
-            for part in args.m.split(","):
-                k, _, v = part.partition("=")
-                orders[k.strip()] = int(v)
-            updates["orders"] = orders
-        else:
-            updates["orders"] = int(args.m)
-    if args.schemes is not None:
-        updates["schemes"] = tuple(s.strip() for s in args.schemes.split(","))
-    if args.n_samples is not None:
-        updates["n_samples"] = args.n_samples
-    seed = args.seed
-    if seed is None and "FBL_SEED" in os.environ:
-        try:
-            seed = int(os.environ["FBL_SEED"])
-        except ValueError as exc:
-            raise ConfigError("FBL_SEED must be an integer") from exc
-    if seed is not None:
-        updates["seed"] = seed
-    if not updates:
-        return scenario
-    try:
-        return replace(scenario, **updates)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, _, flag, _, hint in CONFIG_FIELDS:
+        p.add_argument(flag, dest=key, metavar=key, help=f"override {key} ({hint})")
 
 
 def _load_scenario(path: str, args) -> Scenario:
+    """Read the JSON document, merge the flags into it, validate."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    return _apply_overrides(Scenario.from_json(doc), args)
+    for key, _, _, parse, _ in CONFIG_FIELDS:
+        text = getattr(args, key)
+        if text is not None:
+            head, _, member = key.partition(".")
+            target = doc.setdefault(head, {}) if member else doc
+            if isinstance(target, dict):  # a non-object "pdp" is from_json's to reject
+                target[member or key] = parse(text)
+    return Scenario.from_json(doc)
 
 
 def _emit(text: str, output_path):
@@ -639,16 +642,10 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             run_sweep(scenario, args.output, include_bounds=args.bounds)
             return 0
-        if args.command == "select":
-            rec = select_scheme(scenario)
-            _emit(json.dumps(rec.to_dict(), indent=2, sort_keys=True) + "\n",
-                  args.output)
-            return 0
-        if args.command == "crossover":
-            rep = doppler_crossover(scenario)
-            _emit(json.dumps(rep, indent=2, sort_keys=True) + "\n", args.output)
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+        report = (select_scheme(scenario).to_dict() if args.command == "select"
+                  else doppler_crossover(scenario))
+        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

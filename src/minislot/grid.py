@@ -1,4 +1,4 @@
-"""Mini-slot resource grids: pilot patterns, element classification, rates.
+"""Mini-slot resource grids: pilot patterns, element classification, alphabets.
 
 A mini-slot spans T in {2, 4, 7} OFDM symbols over K subcarriers. The
 pilot-assisted scheme places all-ones pilots on one or two pilot-carrying
@@ -24,14 +24,12 @@ __all__ = [
     "PilotPattern",
     "MiniSlotGrid",
     "Constellation",
-    "SchemeConfig",
     "psk",
     "qam",
     "default_constellation",
     "standard_pattern",
     "classify",
     "data_symbol_count",
-    "match_coding_rates",
 ]
 
 PA = "PA"
@@ -165,7 +163,7 @@ def data_symbol_count(grid: MiniSlotGrid, scheme: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Constellations and rate matching
+# Constellations
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -214,47 +212,3 @@ def default_constellation(scheme: str, order: int) -> Constellation:
     if side * side == order:
         return qam(order)
     return psk(order)
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """One scheme's matched operating point on a shared grid."""
-
-    scheme: str
-    constellation: Constellation
-    coding_rate: float
-    n_data_symbols: int
-
-    def __post_init__(self):
-        if not (0.0 < self.coding_rate <= 1.0):
-            raise ValueError("coding rate must lie in (0, 1]")
-
-
-def match_coding_rates(n_info_bits: int, grid: MiniSlotGrid, schemes, orders) -> list:
-    """Match coding rates so every scheme carries the same payload.
-
-    orders is either one modulation order for all schemes or a mapping
-    scheme -> order. Rate = B / (N * log2 M); payloads that would need
-    rate > 1 are rejected.
-    """
-    if n_info_bits <= 0:
-        raise ValueError("payload must be positive")
-    configs = []
-    for scheme in schemes:
-        order = orders[scheme] if isinstance(orders, dict) else int(orders)
-        n = data_symbol_count(grid, scheme)
-        rate = n_info_bits / (n * np.log2(order))
-        if rate > 1.0:
-            raise ValueError(
-                f"payload B={n_info_bits} exceeds capacity of {scheme} "
-                f"(N={n}, M={order}: rate {rate:.3f} > 1)"
-            )
-        configs.append(
-            SchemeConfig(
-                scheme=scheme,
-                constellation=default_constellation(scheme, order),
-                coding_rate=float(rate),
-                n_data_symbols=n,
-            )
-        )
-    return configs

@@ -11,7 +11,6 @@ from minislot.channel import (
     sample_channel_grid,
     sample_channel_grids,
     time_correlation,
-    time_freq_correlation,
 )
 
 from oracles import j0_series, rho_f_direct
@@ -96,14 +95,6 @@ def test_freq_correlation_single_tap_is_flat():
         assert freq_correlation(dk, pdp, 64) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_time_freq_correlation_factors():
-    pdp = exponential_pdp(3, 0.5)
-    doppler = DopplerSpec(0.07)
-    got = time_freq_correlation(2, 3, pdp, doppler, 64)
-    want = time_correlation(3, doppler) * freq_correlation(2, pdp, 64)
-    assert got == pytest.approx(want, abs=1e-15)
-
-
 def test_sample_grid_shapes_and_determinism():
     pdp = exponential_pdp(5, 1.0)
     H, taps = sample_channel_grids(pdp, DopplerSpec(0.05), 64, 4, 10, seed=3)
@@ -157,9 +148,9 @@ def test_sample_statistics_match_model():
     r_f = np.mean(H[:, 10, 1] * np.conj(H[:, 13, 1]))
     want = freq_correlation(-3, pdp, K)
     assert abs(r_f - want) < 5 / np.sqrt(n)
-    # joint lag factors
+    # joint lag factors into time * frequency parts
     r_tf = np.mean(H[:, 4, 0] * np.conj(H[:, 6, 3]))
-    want_tf = time_freq_correlation(-2, -3, pdp, doppler, K)
+    want_tf = time_correlation(-3, doppler) * freq_correlation(-2, pdp, K)
     assert abs(r_tf - want_tf) < 5 / np.sqrt(n)
 
 

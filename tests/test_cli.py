@@ -1,12 +1,18 @@
 """Scenario config, sweep CSV, selection and crossover reports, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from minislot.cli import (
+    CONFIG_FIELDS,
     CSV_COLUMNS,
     INFEASIBLE_MARKER,
     ConfigError,
@@ -339,40 +345,35 @@ def test_main_override_flags(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     assert main(["sweep", cfg, "-o", str(out_a), "--b", "32",
-                 "--schemes", "FDDi", "--m", "FDDi=16"]) == 0
+                 "--schemes", "FDDi", "--m", "FDDi=16",
+                 "--taps", "3", "--decay", "0.5", "--seed", "5"]) == 0
     rows = _rows(out_a.read_text())
     assert len(rows) == 1
     assert rows[0]["M"] == "16"
     assert float(rows[0]["R"]) == pytest.approx(32 / 126)
     # same overrides baked into the config file give the same bytes
     cfg_b = _write_config(tmp_path, {"fdTs": [0.01], "gammaDb": [2.0],
-                                     "nSamples": 10_000, "seed": 1,
+                                     "nSamples": 10_000, "seed": 5,
                                      "B": 32, "schemes": ["FDDi"],
-                                     "M": {"FDDi": 16}}, name="cfg_b.json")
+                                     "M": {"FDDi": 16},
+                                     "pdp": {"L": 3, "decay": 0.5}}, name="cfg_b.json")
     assert main(["sweep", cfg_b, "-o", str(out_b)]) == 0
     assert out_a.read_text() == out_b.read_text()
 
 
-def test_main_seed_precedence(tmp_path, monkeypatch):
+def test_main_seed_precedence(tmp_path):
     cfg = _write_config(tmp_path, {"fdTs": [0.01], "gammaDb": [2.0],
                                    "schemes": ["FDDi"],
                                    "nSamples": 10_000, "seed": 1})
-    def sweep_text(args, env_seed=None):
+    def sweep_text(args):
         out = tmp_path / "p.csv"
-        if env_seed is None:
-            monkeypatch.delenv("FBL_SEED", raising=False)
-        else:
-            monkeypatch.setenv("FBL_SEED", env_seed)
         assert main(["sweep", cfg, "-o", str(out)] + args) == 0
         return out.read_text()
 
     base = sweep_text([])
-    env9 = sweep_text([], env_seed="9")
     flag9 = sweep_text(["--seed", "9"])
-    flag9_env2 = sweep_text(["--seed", "9"], env_seed="2")
-    assert env9 == flag9 == flag9_env2
-    assert base != env9
-    assert sweep_text([], env_seed="1") == base
+    assert base != flag9
+    assert sweep_text(["--seed", "1"]) == base
 
 
 def test_main_config_errors_exit_1(tmp_path, capsys):
@@ -383,20 +384,6 @@ def test_main_config_errors_exit_1(tmp_path, capsys):
     assert main(["sweep", str(bad), "-o", str(tmp_path / "x.csv")]) == 1
     cfg = _write_config(tmp_path, {"mystery": True})
     assert main(["select", cfg]) == 1
-    ok = _write_config(tmp_path, {"fdTs": 0.01, "gammaDb": 2.0,
-                                  "nSamples": 10_000}, name="ok.json")
-    monkey_bad_seed = {"FBL_SEED": "not-a-number"}
-    import os
-
-    old = os.environ.get("FBL_SEED")
-    os.environ["FBL_SEED"] = "not-a-number"
-    try:
-        assert main(["select", ok]) == 1
-    finally:
-        if old is None:
-            del os.environ["FBL_SEED"]
-        else:
-            os.environ["FBL_SEED"] = old
     capsys.readouterr()
 
 
@@ -405,25 +392,126 @@ def test_main_config_errors_exit_1(tmp_path, capsys):
     ({"highMobility": 1}, "highMobility"),
     ({"M": 3}, "power of two"),
     ({"M": {"PA": 4, "FDDi": 6, "TDDi": 4}}, "power of two"),
-    ({"M": {"PA": "x", "FDDi": 4, "TDDi": 4}}, "invalid literal"),
+    ({"M": {"PA": "x", "FDDi": 4, "TDDi": 4}}, "M for PA must be an integer"),
     ({"pdp": [1, 2]}, "pdp"),
     ({"gammaDb": float("nan")}, "gammaDb values must be finite"),
     ({"fdTs": float("nan")}, "fdTs values must be finite"),
     ({"fdTs": float("inf")}, "fdTs values must be finite"),
     ({"schemes": "PA"}, "schemes must be a list"),
     ({"schemes": []}, "at least one scheme"),
-    ({"K": float("inf")}, "infinity"),
+    ({"K": float("inf")}, "K must be an integer"),
     ({"pdp": {"L": 5, "decay": float("nan")}}, "decay"),
+    # caps: past them evaluation overflows, runs out of memory or grows unbounded
+    ({"gammaDb": 2000.0}, "gammaDb values must lie in [-300, 300]"),
+    ({"gammaDb": 1e300}, "gammaDb values must lie in [-300, 300]"),
+    ({"gammaDb": -1e300}, "gammaDb values must lie in [-300, 300]"),
+    ({"gammaDb": [0.0, 400.0]}, "gammaDb values must lie in [-300, 300]"),
+    ({"M": 2**40}, "M must be an integer in [2, 64]"),
+    ({"M": 2**70}, "M must be an integer in [2, 64]"),
+    ({"M": 128}, "M must be an integer in [2, 64]"),
+    ({"K": 2048}, "K must be an integer in [2, 1024]"),
+    # accepted silently before
+    ({"K": 64.7}, "K must be an integer"),
+    ({"B": "64"}, "B must be an integer"),
+    ({"B": True}, "B must be an integer"),
+    ({"pdp": {"L": 5, "x": 1}}, "unknown config keys: ['pdp.x']"),
+    ({"pdp.L": 5}, "unknown config keys: ['pdp.L']"),
+    ({"M": {"PA": 4, "FDDi": 4, "TDDi": 4, "XX": 4}}, "unknown M keys ['XX']"),
+    ({"schemes": ["PA", "PA"]}, "schemes must not repeat"),
+    ({"deltaSub": 64}, "deltaSub must be an integer in [1, 32]"),
+    ({"K": 64, "pdp": {"L": 64}}, "pdp.L must be an integer in [1, 63]"),
 ], ids=("mobility-string", "mobility-int", "M-3", "M-map-6", "M-map-text", "pdp-list",
         "gamma-nan", "fd-nan", "fd-inf", "schemes-string", "schemes-empty", "K-inf",
-        "decay-nan"))
+        "decay-nan", "gamma-2000", "gamma-1e300", "gamma-neg-1e300", "gamma-list-400",
+        "M-2e40", "M-2e70", "M-128", "K-2048", "K-fraction", "B-string", "B-bool",
+        "pdp-member", "pdp-dotted-key", "M-map-key", "schemes-repeat", "deltaSub-K",
+        "L-K"))
 def test_main_strict_config_types_exit_1(tmp_path, capsys, doc, message):
-    cfg = _write_config(tmp_path, {"fdTs": 0.01, "gammaDb": 2.0, **doc})
+    doc = {"fdTs": 0.01, "gammaDb": 2.0, **doc}
+    # construction alone rejects it, so main never evaluates a document past a cap
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        Scenario.from_json(doc)
+    cfg = _write_config(tmp_path, doc)
     assert main(["select", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error:") and message in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--m", "PA=x"], "M for PA must be an integer"),
+    (["--m", "PA=4,FDDi"], "M for FDDi must be an integer"),
+    (["--fd-ts", "abc"], "fdTs values must be finite"),
+    (["--k", "abc"], "K must be an integer"),
+], ids=("m-text", "m-missing-order", "fd-text", "k-text"))
+def test_main_bad_flag_value_exit_1(tmp_path, capsys, flags, message):
+    """A bad flag value is a config error, like the same value in the file."""
+    cfg = _write_config(tmp_path, {"fdTs": 0.01, "gammaDb": 2.0})
+    assert main(["select", cfg] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+_TOP_KEYS = sorted({key.partition(".")[0] for key, *_ in CONFIG_FIELDS})
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["L", "decay", PA, FDDI, TDDI]) | st.text(max_size=3),
+        inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _sweeps(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=3, unique=True).map(sorted)
+
+
+# a valid value per key, so that many documents pass validation and run
+_valid_values = {
+    "K": st.sampled_from([16, 32, 64, 128]), "T": st.sampled_from([2, 4, 7]),
+    "deltaSub": st.sampled_from([1, 2, 4]), "highMobility": st.booleans(),
+    "pdp": st.fixed_dictionaries({}, optional={"L": st.integers(1, 8),
+                                               "decay": st.floats(0.0, 3.0)}),
+    "fdTs": _sweeps(0.0, 0.2), "gammaDb": _sweeps(-10.0, 40.0),
+    "B": st.integers(1, 300), "M": st.sampled_from([2, 4, 8, 16]),
+    "schemes": st.lists(st.sampled_from([PA, FDDI, TDDI]), min_size=1, unique=True),
+    "nSamples": st.integers(10_000, 10**7), "seed": st.integers(0, 2**32),
+}
+_edits = st.one_of(
+    st.sampled_from(sorted(_valid_values)).flatmap(
+        lambda key: st.tuples(st.just(key), _valid_values[key])),
+    st.tuples(st.sampled_from(_TOP_KEYS) | st.text(max_size=6), _json_values),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    edits=st.lists(_edits, min_size=1, max_size=2),
+    command=st.sampled_from(["sweep", "select"]),
+)
+@example(edits=[("gammaDb", 2000.0)], command="select")
+@example(edits=[("gammaDb", 1e300)], command="sweep")
+@example(edits=[("gammaDb", -1e300)], command="select")
+@example(edits=[("M", 2**40)], command="select")
+@example(edits=[("M", 2**70)], command="sweep")
+def test_main_any_config_document_exits_cleanly(edits, command):
+    """Any JSON object, here a valid base with one or two keys overwritten,
+    ends in exit 0, 1 or 2, with one stderr line on failure."""
+    doc = {"fdTs": 0.01, "gammaDb": 2.0, **dict(edits)}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        argv = [command, cfg] + (["-o", os.path.join(tmp, "out.csv")] if command == "sweep" else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 def test_main_numerical_failure_exit_2(tmp_path, capsys):

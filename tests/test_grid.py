@@ -1,4 +1,4 @@
-"""Resource grid classification, constellations and rate matching."""
+"""Resource grid classification and constellations."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from minislot.grid import (
     classify,
     data_symbol_count,
     default_constellation,
-    match_coding_rates,
     psk,
     qam,
     standard_pattern,
@@ -165,32 +164,3 @@ def test_default_constellations():
     assert default_constellation(PA, 16).kind == "qam"
     assert default_constellation(PA, 8).kind == "psk"  # no square 8-QAM here
     assert default_constellation(PA, 4).kind == "qam"
-
-
-def test_match_coding_rates():
-    grid = make_grid(64, 2, 2)
-    configs = match_coding_rates(64, grid, SCHEMES, 4)
-    by_scheme = {c.scheme: c for c in configs}
-    assert by_scheme[PA].coding_rate == pytest.approx(64 / (96 * 2))
-    assert by_scheme[FDDI].coding_rate == pytest.approx(64 / (126 * 2))
-    assert by_scheme[TDDI].coding_rate == pytest.approx(64 / (64 * 2))
-    # every scheme carries the same payload back
-    for c in configs:
-        bits = c.coding_rate * c.n_data_symbols * c.constellation.bits
-        assert bits == pytest.approx(64.0)
-
-
-def test_match_coding_rates_per_scheme_orders():
-    grid = make_grid(64, 2, 2)
-    configs = match_coding_rates(64, grid, (PA, FDDI), {PA: 16, FDDI: 4})
-    assert configs[0].constellation.order == 16
-    assert configs[1].constellation.order == 4
-
-
-def test_match_coding_rates_rejects_overfull_payload():
-    grid = make_grid(64, 2, 2)
-    with pytest.raises(ValueError):
-        match_coding_rates(129, grid, (TDDI,), 4)  # N=64, 2 bits -> max 128
-    # boundary: rate exactly 1 is allowed
-    configs = match_coding_rates(128, grid, (TDDI,), 4)
-    assert configs[0].coding_rate == pytest.approx(1.0)
