@@ -33,7 +33,7 @@ from .grid import (
     MiniSlotGrid,
     PilotPattern,
     ReClass,
-    classify,
+    class_map,
     data_symbol_count,
     default_constellation,
     psk,
@@ -117,7 +117,7 @@ __all__ = [
     "time_correlation",
     # grid
     "FDDI", "MINI_SLOT_LENGTHS", "PA", "SCHEMES", "TDDI", "Constellation",
-    "MiniSlotGrid", "PilotPattern", "ReClass", "classify",
+    "MiniSlotGrid", "PilotPattern", "ReClass", "class_map",
     "data_symbol_count", "default_constellation", "psk", "qam", "standard_pattern",
     # modem
     "DegenerateEstimateError", "DiffDecision", "RxGrid", "SymbolGrid",

@@ -13,6 +13,14 @@ The closed-form MSE components mirror those stages:
                average folds edge into linear)
   phi_region_a pilot subcarriers on symbols reusing estimates in time
   phi_region_b interpolated subcarriers on reuse symbols
+  phi_edge_region_b  extrapolated subcarriers on reuse symbols (diagnostic;
+               the headline average folds it into region B)
+
+The classes are those of grid.class_map, and average_mse weights each
+component by its class counts over the first pilot window, symbols
+1..delta_sym. Where two pilot windows exist (T = 7 under high mobility) the
+first stands for the grid: that is an approximation, and sigma_e2 differs
+from the average over all K*T elements.
 
 The closed forms treat the pilot-stage estimation error as white with
 variance phi_lmmse and independent of the channel. That is exact for the
@@ -33,7 +41,7 @@ import numpy as np
 
 from ._util import as_rng
 from .channel import freq_correlation, time_correlation, sample_channel_grids
-from .grid import MiniSlotGrid, PilotPattern
+from .grid import PA, PA_CLASSES, MiniSlotGrid, ReClass, class_counts, class_map
 
 __all__ = [
     "EstimationCollapseError",
@@ -49,6 +57,8 @@ __all__ = [
     "phi_region_a",
     "phi_region_b",
     "phi_edge_region_b",
+    "HEADLINE_PARTS",
+    "CLASS_PARTS",
     "average_mse",
     "channel_estimation_mse",
     "effective_snr",
@@ -285,15 +295,50 @@ def phi_edge_region_b(
     return float(per.mean())
 
 
+# A part is a tuple of PA classes weighted by one closed-form component:
+# the MSE of its first class. The headline sigma_e2 folds each edge class
+# into the interpolation component of its symbol; CLASS_PARTS keeps every
+# class apart.
+HEADLINE_PARTS = (
+    (ReClass.PILOT,),
+    (ReClass.LINEAR_DATA, ReClass.EDGE_DATA),
+    (ReClass.REGION_A,),
+    (ReClass.REGION_B, ReClass.EDGE_REGION_B),
+)
+CLASS_PARTS = tuple((c,) for c in PA_CLASSES)
+# the MseBreakdown and MseMeasurement field of each class's MSE
+_PHI_FIELD = {
+    ReClass.PILOT: "phi_lmmse", ReClass.LINEAR_DATA: "phi_linear",
+    ReClass.EDGE_DATA: "phi_edge", ReClass.REGION_A: "phi_a",
+    ReClass.REGION_B: "phi_b", ReClass.EDGE_REGION_B: "phi_edge_b",
+}
+
+
+def average_mse(grid: MiniSlotGrid, phi: dict, parts=HEADLINE_PARTS):
+    """Average of the per-class MSEs phi (ReClass -> value) over the first
+    pilot window, symbols 1..delta_sym of class_map(grid, PA).
+
+    Each part weighs the MSE of its first class by the summed count of its
+    classes, and the terms add in the order of parts. For T = 7 under high
+    mobility (windows of 4 and 3 symbols) this differs from the average over
+    the whole grid: the first window stands for both. The values may be
+    arrays, as measure_mse's per-realization class means are.
+    """
+    if grid.pattern is None:
+        raise ValueError("average_mse needs a pilot pattern")
+    counts = class_counts(grid, PA, grid.pattern.delta_sym)
+    weights = [sum(counts[c] for c in part) for part in parts]
+    return sum(n * phi[part[0]] for n, part in zip(weights, parts)) / sum(weights)
+
+
 @dataclass(frozen=True)
 class MseBreakdown:
-    """Closed-form MSE components and their grid averages.
+    """Closed-form MSE components and their first-window averages.
 
-    sigma_e2 is the headline average (edge folded into linear). sigma_e2_full
-    keeps phi_edge distinct on pilot-carrying symbols; sigma_e2_grid
-    additionally keeps the edge/reuse cross class distinct, making it the
-    exact average for the uniform-window geometries. Both diagnostics are
-    None when their extra components were not supplied.
+    sigma_e2 is the headline average (HEADLINE_PARTS: edge folded into the
+    interpolation components). sigma_e2_grid keeps every class apart
+    (CLASS_PARTS), which makes it the exact grid average for the
+    single-window geometries.
     """
 
     phi_lmmse: float
@@ -301,101 +346,31 @@ class MseBreakdown:
     phi_a: float
     phi_b: float
     sigma_e2: float
-    phi_edge: float | None = None
-    phi_edge_b: float | None = None
-    sigma_e2_full: float | None = None
-    sigma_e2_grid: float | None = None
-
-
-def average_mse(
-    grid: MiniSlotGrid,
-    pattern: PilotPattern | None = None,
-    *,
-    phi_lmmse: float,
-    phi_linear: float,
-    phi_a: float,
-    phi_b: float,
-    phi_edge: float | None = None,
-    phi_edge_b: float | None = None,
-) -> MseBreakdown:
-    """Combine MSE components into the grid-average sigma_e^2.
-
-    Weights count resource elements over one pilot window of delta_sym
-    symbols: lambda_p pilots and K - lambda_p interpolated positions on the
-    pilot-carrying symbol, the same split scaled by (delta_sym - 1) on the
-    reuse symbols, all over K * delta_sym.
-    """
-    if pattern is None:
-        pattern = grid.pattern
-    if pattern is None:
-        raise ValueError("average_mse needs a pilot pattern")
-    K = grid.n_subcarriers
-    lam = K // pattern.delta_sub
-    d_sym = pattern.delta_sym
-    delta = pattern.delta_sub
-    denom = K * d_sym
-    sigma = (
-        lam * phi_lmmse
-        + (K - lam) * phi_linear
-        + lam * (d_sym - 1) * phi_a
-        + (K - lam) * (d_sym - 1) * phi_b
-    ) / denom
-    sigma_full = None
-    sigma_grid = None
-    if phi_edge is not None:
-        n_edge = delta - 1
-        sigma_full = (
-            lam * phi_lmmse
-            + (K - lam - n_edge) * phi_linear
-            + n_edge * phi_edge
-            + lam * (d_sym - 1) * phi_a
-            + (K - lam) * (d_sym - 1) * phi_b
-        ) / denom
-        if phi_edge_b is not None:
-            sigma_grid = (
-                lam * phi_lmmse
-                + (K - lam - n_edge) * phi_linear
-                + n_edge * phi_edge
-                + (d_sym - 1)
-                * (lam * phi_a + (K - lam - n_edge) * phi_b + n_edge * phi_edge_b)
-            ) / denom
-    return MseBreakdown(
-        phi_lmmse=float(phi_lmmse),
-        phi_linear=float(phi_linear),
-        phi_a=float(phi_a),
-        phi_b=float(phi_b),
-        sigma_e2=float(sigma),
-        phi_edge=None if phi_edge is None else float(phi_edge),
-        phi_edge_b=None if phi_edge_b is None else float(phi_edge_b),
-        sigma_e2_full=None if sigma_full is None else float(sigma_full),
-        sigma_e2_grid=None if sigma_grid is None else float(sigma_grid),
-    )
+    phi_edge: float
+    phi_edge_b: float
+    sigma_e2_grid: float
 
 
 def channel_estimation_mse(pdp, doppler, grid: MiniSlotGrid, gamma: float) -> MseBreakdown:
-    """All closed-form components plus the grid averages for one geometry."""
+    """All closed-form components plus the first-window averages for one
+    geometry."""
     pattern = grid.pattern
     if pattern is None:
         raise ValueError("channel estimation needs a pilot pattern")
-    K = grid.n_subcarriers
-    cov = pilot_covariance(pdp, K, pattern.delta_sub)
-    phi = phi_lmmse(cov, gamma)
-    lin = phi_linear(pdp, K, pattern.delta_sub, phi)
-    edge = phi_edge(pdp, K, pattern.delta_sub, phi)
-    a = phi_region_a(doppler, pattern.delta_sym, phi)
-    b = phi_region_b(pdp, doppler, K, pattern.delta_sub, pattern.delta_sym, phi)
-    edge_b = phi_edge_region_b(
-        pdp, doppler, K, pattern.delta_sub, pattern.delta_sym, phi
-    )
-    return average_mse(
-        grid,
-        pattern,
-        phi_lmmse=phi,
-        phi_linear=lin,
-        phi_a=a,
-        phi_b=b,
-        phi_edge=edge,
-        phi_edge_b=edge_b,
+    K, delta, d_sym = grid.n_subcarriers, pattern.delta_sub, pattern.delta_sym
+    phi = phi_lmmse(pilot_covariance(pdp, K, delta), gamma)
+    by_class = {
+        ReClass.PILOT: phi,
+        ReClass.LINEAR_DATA: phi_linear(pdp, K, delta, phi),
+        ReClass.EDGE_DATA: phi_edge(pdp, K, delta, phi),
+        ReClass.REGION_A: phi_region_a(doppler, d_sym, phi),
+        ReClass.REGION_B: phi_region_b(pdp, doppler, K, delta, d_sym, phi),
+        ReClass.EDGE_REGION_B: phi_edge_region_b(pdp, doppler, K, delta, d_sym, phi),
+    }
+    return MseBreakdown(
+        **{_PHI_FIELD[c]: v for c, v in by_class.items()},
+        sigma_e2=float(average_mse(grid, by_class)),
+        sigma_e2_grid=float(average_mse(grid, by_class, CLASS_PARTS)),
     )
 
 
@@ -424,9 +399,9 @@ def effective_snr(sigma_e2: float, sigma_w2: float) -> float:
 class MseMeasurement:
     """Empirical per-class MSE means with standard errors.
 
-    sigma_e2 recombines the class means with the same weights as
-    average_mse's headline formula; sigma_e2_grid is the straight average
-    over all K*T grid positions (the true geometry, edge classes included).
+    sigma_e2 recombines the class means with average_mse's headline parts
+    and weights; sigma_e2_grid is the straight average over all K*T grid
+    positions (the true geometry, edge classes included).
     """
 
     phi_lmmse: float
@@ -459,7 +434,7 @@ def measure_mse(
     error_model: str = "matched",
     chunk: int = 10_000,
 ) -> MseMeasurement:
-    """Monte Carlo MSE per resource-element class.
+    """Monte Carlo MSE per resource-element class of class_map(grid, PA).
 
     The pilot-stage class (phi_lmmse) always runs the honest LS -> LMMSE
     chain; its residual variance is phi_lmmse exactly, no modeling gap
@@ -478,27 +453,25 @@ def measure_mse(
         raise ValueError("measure_mse needs a pilot pattern")
     K, T = grid.n_subcarriers, grid.n_symbols
     delta = pattern.delta_sub
-    lam = K // delta
     pilots = list(pattern.pilot_symbols)
     cov = pilot_covariance(pdp, K, delta)
     phi = phi_lmmse(cov, gamma)
     filt = _lmmse_filter(cov, gamma)
     rng = as_rng(seed)
 
-    pilot_k = np.arange(0, K, delta)
-    edge_k = np.arange((lam - 1) * delta + 1, K)
-    interior_mask = np.ones(K, dtype=bool)
-    interior_mask[pilot_k] = False
-    interior_mask[edge_k] = False
-    interior_k = np.flatnonzero(interior_mask)
-    # nearest preceding pilot symbol and the reuse symbols per window
+    cmap = class_map(grid, PA)
+    pilot_k = np.flatnonzero(cmap[:, pilots[0] - 1] == ReClass.PILOT)
+    lam = pilot_k.size
+    # nearest preceding pilot symbol of every symbol
     window_of = {
         t: max(s for s in pilots if s <= t) for t in range(1, T + 1)
     }
-    reuse_sym = [t for t in range(1, T + 1) if t not in pilots]
 
-    per_class = {name: [] for name in
-                 ("lmmse", "linear", "edge", "a", "b", "edge_b", "grid")}
+    # the data classes this grid has; the pilot class is measured on the
+    # LMMSE stage itself, not on the interpolated grid
+    masks = {c: cmap == c for c in PA_CLASSES[1:] if np.any(cmap == c)}
+    per_class = {c: [] for c in (ReClass.PILOT, *masks)}
+    grid_avg = []
     done = 0
     while done < n_realizations:
         n = min(chunk, n_realizations - done)
@@ -520,69 +493,27 @@ def measure_mse(
                 est_by_sym[tp] = h_p + e
             else:
                 est_by_sym[tp] = h_lmmse
-        per_class["lmmse"].append(np.mean(np.concatenate(err_l, axis=1), axis=1))
+        per_class[ReClass.PILOT].append(np.mean(np.concatenate(err_l, axis=1), axis=1))
 
         full_by_sym = {tp: interpolate_linear(est_by_sym[tp], delta) for tp in pilots}
         sq = np.empty((n, K, T))
         for t in range(1, T + 1):
             sq[:, :, t - 1] = np.abs(full_by_sym[window_of[t]] - H[:, :, t - 1]) ** 2
-        p_idx = np.array(pilots) - 1
-        r_idx = np.array(reuse_sym) - 1 if reuse_sym else np.array([], dtype=int)
-        if interior_k.size:
-            per_class["linear"].append(
-                sq[:, interior_k][:, :, p_idx].mean(axis=(1, 2))
-            )
-        if edge_k.size:
-            per_class["edge"].append(sq[:, edge_k][:, :, p_idx].mean(axis=(1, 2)))
-        if r_idx.size:
-            per_class["a"].append(sq[:, pilot_k][:, :, r_idx].mean(axis=(1, 2)))
-            if interior_k.size:
-                per_class["b"].append(
-                    sq[:, interior_k][:, :, r_idx].mean(axis=(1, 2))
-                )
-            if edge_k.size:
-                per_class["edge_b"].append(
-                    sq[:, edge_k][:, :, r_idx].mean(axis=(1, 2))
-                )
-        per_class["grid"].append(sq.mean(axis=(1, 2)))
+        for c, mask in masks.items():
+            per_class[c].append(sq[:, mask].mean(axis=1))
+        grid_avg.append(sq.mean(axis=(1, 2)))
         done += n
 
-    def reduce(name):
-        if not per_class[name]:
-            return np.nan, np.nan, None
-        x = np.concatenate(per_class[name])
-        return float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size)), x
+    def reduce(x):
+        return float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size))
 
-    m_l, se_l, x_l = reduce("lmmse")
-    m_lin, se_lin, x_lin = reduce("linear")
-    m_e, se_e, _ = reduce("edge")
-    m_a, se_a, x_a = reduce("a")
-    m_b, se_b, x_b = reduce("b")
-    m_eb, se_eb, _ = reduce("edge_b")
-    m_g, se_g, _ = reduce("grid")
-
-    # recombine per realization with the headline weights for a clean SE
-    d_sym = pattern.delta_sym
-    w = np.array([lam, K - lam, lam * (d_sym - 1), (K - lam) * (d_sym - 1)], float)
-    w /= K * d_sym
-    zeros = np.zeros_like(x_l)
-    parts = [x_l,
-             x_lin if x_lin is not None else zeros,
-             x_a if x_a is not None else zeros,
-             x_b if x_b is not None else zeros]
-    combo = sum(wi * xi for wi, xi in zip(w, parts))
-    m_c = float(combo.mean())
-    se_c = float(combo.std(ddof=1) / np.sqrt(combo.size))
-
-    return MseMeasurement(
-        phi_lmmse=m_l, phi_lmmse_se=se_l,
-        phi_linear=m_lin, phi_linear_se=se_lin,
-        phi_edge=m_e, phi_edge_se=se_e,
-        phi_a=m_a, phi_a_se=se_a,
-        phi_b=m_b, phi_b_se=se_b,
-        phi_edge_b=m_eb, phi_edge_b_se=se_eb,
-        sigma_e2=m_c, sigma_e2_se=se_c,
-        sigma_e2_grid=m_g, sigma_e2_grid_se=se_g,
-        n_realizations=n_realizations,
-        error_model=error_model,
-    )
+    # per-realization class means; a class the grid lacks reads nan and
+    # weighs 0 in the headline recombination
+    means = {c: np.concatenate(v) for c, v in per_class.items()}
+    fields = {}
+    for c, name in _PHI_FIELD.items():
+        fields[name], fields[name + "_se"] = reduce(means[c]) if c in means else (np.nan, np.nan)
+    fields["sigma_e2"], fields["sigma_e2_se"] = reduce(
+        average_mse(grid, {c: means.get(c, 0.0) for c in PA_CLASSES}))
+    fields["sigma_e2_grid"], fields["sigma_e2_grid_se"] = reduce(np.concatenate(grid_avg))
+    return MseMeasurement(**fields, n_realizations=n_realizations, error_model=error_model)

@@ -28,7 +28,8 @@ the seed are validated and echoed in their own CSV columns, and reach
 nothing else. Sweep points run sequentially in scenario order, so output is
 deterministic byte for byte given the scenario.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration error (usage errors and an
+unwritable output file included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -46,12 +47,7 @@ from .bounds import lattice_bounds
 from ._util import db_to_lin, lin_to_db
 from .channel import DopplerSpec, exponential_pdp
 from .chanest import EstimationCollapseError
-from .fbl import (
-    DiffChannelParams,
-    InfeasiblePayloadError,
-    equivalent_channel,
-    scheme_fbl,
-)
+from .fbl import DiffChannelParams, InfeasiblePayloadError, scheme_fbl
 from .grid import (
     FDDI, MINI_SLOT_LENGTHS, PA, SCHEMES, TDDI, MiniSlotGrid, data_symbol_count, qam,
     standard_pattern,
@@ -278,6 +274,19 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _emit(text: str, output_path):
+    """Write text to output_path, or to stdout when it is None."""
+    if output_path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(output_path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write output file {output_path}: {exc.strerror or exc}") from exc
+
+
 def run_sweep(scenario: Scenario, output_path=None, include_bounds: bool = False):
     """Run the full (scheme, fdTs, gammaDb) sweep; returns CSV text.
 
@@ -318,9 +327,7 @@ def run_sweep(scenario: Scenario, output_path=None, include_bounds: bool = False
                     cells["sigmaE2"] = res.sigma_e2
                     cells["gammaHatDb"] = lin_to_db(res.gamma_hat)
                 if include_bounds:
-                    law = equivalent_channel(
-                        scheme, grid, pdp, DopplerSpec(fd), gamma, order
-                    ).law()
+                    law = res.channel.law()
                     lo, hi = lattice_bounds(
                         law.densities, law.weights, res.n, scenario.n_info_bits
                     )
@@ -331,8 +338,7 @@ def run_sweep(scenario: Scenario, output_path=None, include_bounds: bool = False
                 lines.append(",".join(_fmt(cells[c]) for c in CSV_COLUMNS))
     text = "\n".join(lines) + "\n"
     if output_path is not None:
-        with open(output_path, "w", newline="") as fh:
-            fh.write(text)
+        _emit(text, output_path)
     return text
 
 
@@ -598,16 +604,32 @@ def _load_scenario(path: str, args) -> Scenario:
     return Scenario.from_json(doc)
 
 
-def _emit(text: str, output_path):
-    if output_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(output_path, "w", newline="") as fh:
-            fh.write(text)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors, exit 1 with one line, where argparse
+    would print its usage and exit 2, the numerical-failure code."""
+
+    def error(self, message):
+        raise ConfigError(f"{message} (see {self.prog} -h)")
+
+
+_VALUE_FLAGS = frozenset(flag for _, _, flag, _, _ in CONFIG_FIELDS)
+
+
+def _join_flag_values(argv: list) -> list:
+    """Spell `--flag value` as `--flag=value` for the config flags, so that a
+    value starting with '-', such as the gammaDb list -5,0, is not taken
+    for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minislot",
         description="Finite-blocklength link analysis for mini-slot OFDM "
                     "(pilot-assisted vs differential schemes)",
@@ -634,8 +656,9 @@ def main(argv=None) -> int:
 
     p_self = sub.add_parser("selftest", help="run the invariant suite")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(
+            _join_flag_values(sys.argv[1:] if argv is None else list(argv)))
         if args.command == "selftest":
             return 0 if selftest() else 2
         scenario = _load_scenario(args.config, args)

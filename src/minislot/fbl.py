@@ -46,7 +46,7 @@ where epsilon underflows.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -164,7 +164,8 @@ class IvEstimate:
 class FblResult:
     """Scheme-level finite-blocklength outcome at one operating point.
 
-    i_stderr and v_stderr are the quadrature's truncation estimate.
+    i_stderr and v_stderr are the quadrature's truncation estimate; channel
+    is the equivalent channel (I, V) came from, whose law() the bounds read.
     """
 
     scheme: str
@@ -178,6 +179,7 @@ class FblResult:
     v_stderr: float
     sigma_e2: float | None = None
     gamma_hat: float | None = None
+    channel: EquivalentChannel | None = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -635,4 +637,5 @@ def scheme_fbl(
         v_stderr=iv.v_stderr,
         sigma_e2=channel.sigma_e2,
         gamma_hat=channel.gamma_hat,
+        channel=channel,
     )

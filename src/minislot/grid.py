@@ -1,11 +1,12 @@
-"""Mini-slot resource grids: pilot patterns, element classification, alphabets.
+"""Mini-slot resource grids: pilot patterns, element classes, alphabets.
 
 A mini-slot spans T in {2, 4, 7} OFDM symbols over K subcarriers. The
 pilot-assisted scheme places all-ones pilots on one or two pilot-carrying
 symbols at every delta_sub-th subcarrier starting from k = 0; differential
-schemes carry a reference column/row instead of pilots. Classification tags
-partition the K x T grid and drive both the data-symbol accounting and the
-estimation-MSE bookkeeping.
+schemes carry a reference column/row instead of pilots. class_map is the one
+definition of that geometry: its classes partition the K x T grid, and their
+counts drive the data-symbol accounting and the weights of the
+estimation-MSE averages in chanest.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ __all__ = [
     "qam",
     "default_constellation",
     "standard_pattern",
-    "classify",
+    "PA_CLASSES",
+    "class_map",
+    "class_counts",
     "data_symbol_count",
 ]
 
@@ -40,16 +43,17 @@ SCHEMES = (PA, FDDI, TDDI)
 MINI_SLOT_LENGTHS = (2, 4, 7)
 
 
-class ReClass(enum.Enum):
-    """Resource-element classification tag."""
+class ReClass(enum.IntEnum):
+    """Resource-element class; class_map holds these as int8 codes."""
 
-    PILOT = "Pilot"
-    LINEAR_DATA = "LinearData"
-    EDGE_DATA = "EdgeData"
-    REGION_A = "RegionA"
-    REGION_B = "RegionB"
-    DIFF_REFERENCE = "DiffReference"
-    DIFF_DATA = "DiffData"
+    PILOT = 0
+    LINEAR_DATA = 1
+    EDGE_DATA = 2
+    REGION_A = 3
+    REGION_B = 4
+    EDGE_REGION_B = 5
+    DIFF_REFERENCE = 6
+    DIFF_DATA = 7
 
 
 @dataclass(frozen=True)
@@ -115,51 +119,59 @@ def standard_pattern(n_symbols: int, high_mobility: bool, delta_sub: int) -> Pil
     return PilotPattern(pilot_symbols=(1,), delta_sub=delta_sub, delta_sym=n_symbols)
 
 
-def classify(grid: MiniSlotGrid, scheme: str, k: int, t: int) -> ReClass:
-    """Classify resource element (k, t); k is 0-based, t is 1-based.
+# PA class of an element by (symbol role, subcarrier role): symbols carry
+# pilots or reuse the preceding pilot symbol's estimates; subcarriers are
+# pilots, linearly interpolated, or extrapolated past the last pilot.
+_PA_CLASSES = np.array([
+    [ReClass.PILOT, ReClass.LINEAR_DATA, ReClass.EDGE_DATA],
+    [ReClass.REGION_A, ReClass.REGION_B, ReClass.EDGE_REGION_B],
+], dtype=np.int8)
+PA_CLASSES = tuple(ReClass(c) for c in _PA_CLASSES.flat)
 
-    Pilot-assisted symbols split into pilots, linearly interpolated data and
+
+def class_map(grid: MiniSlotGrid, scheme: str) -> np.ndarray:
+    """The class of every resource element: a (K, T) int8 array of ReClass
+    codes, row k the 0-based subcarrier, column t - 1 the 1-based symbol t.
+
+    Pilot-assisted grids split into pilots, linearly interpolated data and
     edge-extrapolated data (past the last pilot subcarrier) on pilot-carrying
-    symbols, and region A (pilot subcarriers, estimate reuse in time) and
-    region B (everything else) on the remaining symbols. Differential grids
-    have a reference column (FDDi, k = 0) or row (TDDi, t = 1).
+    symbols, and region A (pilot subcarriers), region B (interpolated
+    subcarriers) and edge region B (extrapolated subcarriers) on the symbols
+    that reuse estimates in time. Differential grids have a reference column
+    (FDDi, k = 0) or row (TDDi, t = 1).
     """
     K, T = grid.n_subcarriers, grid.n_symbols
-    if not (0 <= k < K) or not (1 <= t <= T):
-        raise ValueError(f"resource element ({k}, {t}) outside {K}x{T} grid")
-    if scheme == FDDI:
-        return ReClass.DIFF_REFERENCE if k == 0 else ReClass.DIFF_DATA
-    if scheme == TDDI:
-        return ReClass.DIFF_REFERENCE if t == 1 else ReClass.DIFF_DATA
+    if scheme in (FDDI, TDDI):
+        cmap = np.full((K, T), ReClass.DIFF_DATA, dtype=np.int8)
+        if scheme == FDDI:
+            cmap[0, :] = ReClass.DIFF_REFERENCE
+        else:
+            cmap[:, 0] = ReClass.DIFF_REFERENCE
+        return cmap
     if scheme != PA:
         raise ValueError(f"unknown scheme {scheme!r}")
     if grid.pattern is None:
         raise ValueError("pilot-assisted classification needs a pilot pattern")
     delta_sub = grid.pattern.delta_sub
-    last_pilot = K - delta_sub  # pilots anchored at k = 0, step delta_sub
-    on_pilot_symbol = t in grid.pattern.pilot_symbols
-    on_pilot_subcarrier = k % delta_sub == 0
-    if on_pilot_symbol:
-        if on_pilot_subcarrier:
-            return ReClass.PILOT
-        if k > last_pilot:
-            return ReClass.EDGE_DATA
-        return ReClass.LINEAR_DATA
-    return ReClass.REGION_A if on_pilot_subcarrier else ReClass.REGION_B
+    k_role = np.ones(K, dtype=np.intp)
+    k_role[::delta_sub] = 0  # pilots anchored at k = 0, step delta_sub
+    k_role[K - delta_sub + 1:] = 2  # past the last pilot, k = K - delta_sub
+    t_role = [int(t not in grid.pattern.pilot_symbols) for t in range(1, T + 1)]
+    return _PA_CLASSES[np.array(t_role)[None, :], k_role[:, None]]
+
+
+def class_counts(grid: MiniSlotGrid, scheme: str, n_symbols: int | None = None) -> list:
+    """Resource elements per class on symbols 1..n_symbols (all by default):
+    a list of ints indexed by ReClass."""
+    cmap = class_map(grid, scheme)[:, :n_symbols]
+    return np.bincount(cmap.ravel(), minlength=len(ReClass)).tolist()
 
 
 def data_symbol_count(grid: MiniSlotGrid, scheme: str) -> int:
-    """Available data symbols N for one scheme on this grid."""
-    K, T = grid.n_subcarriers, grid.n_symbols
-    if scheme == PA:
-        if grid.pattern is None:
-            raise ValueError("pilot-assisted scheme needs a pilot pattern")
-        return K * T - grid.n_pilot_subcarriers * len(grid.pattern.pilot_symbols)
-    if scheme == FDDI:
-        return (K - 1) * T
-    if scheme == TDDI:
-        return K * (T - 1)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    """Available data symbols N for one scheme on this grid: every element
+    of class_map that is neither a pilot nor a differential reference."""
+    counts = class_counts(grid, scheme)
+    return sum(counts) - counts[ReClass.PILOT] - counts[ReClass.DIFF_REFERENCE]
 
 
 # ---------------------------------------------------------------------------

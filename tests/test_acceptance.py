@@ -422,3 +422,17 @@ def test_criterion_9_cli_byte_reproducibility(tmp_path):
     st_b = _run_cli(["selftest"], tmp_path)
     assert st_a == st_b and b"PASS" in st_a
     print("PASS selftest bytes identical")
+
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs_against_package_under_test(demo, tmp_path):
+    """Every demos/ script runs to exit 0 in a subprocess that imports the
+    package under test, as criterion 9's CLI children do."""
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True,
+        cwd=tmp_path, env=_cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr

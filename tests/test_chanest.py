@@ -5,6 +5,7 @@ import pytest
 
 from minislot.channel import DopplerSpec, PowerDelayProfile, exponential_pdp
 from minislot.chanest import (
+    CLASS_PARTS,
     EstimationCollapseError,
     average_mse,
     channel_estimation_mse,
@@ -19,7 +20,7 @@ from minislot.chanest import (
     phi_region_b,
     pilot_covariance,
 )
-from minislot.grid import MiniSlotGrid, PilotPattern, standard_pattern
+from minislot.grid import MiniSlotGrid, PilotPattern, ReClass, standard_pattern
 
 from oracles import lmmse_mse_direct
 
@@ -146,37 +147,46 @@ def test_phi_linear_floor_is_channel_deficiency():
 
 
 def test_average_mse_weighting():
+    phi = {
+        ReClass.PILOT: 1.0, ReClass.LINEAR_DATA: 2.0, ReClass.EDGE_DATA: 10.0,
+        ReClass.REGION_A: 3.0, ReClass.REGION_B: 4.0, ReClass.EDGE_REGION_B: 20.0,
+    }
     grid = MiniSlotGrid(8, 2, PilotPattern((1,), 2, 2))
-    br = average_mse(
-        grid, phi_lmmse=1.0, phi_linear=2.0, phi_a=3.0, phi_b=4.0
+    # lam=4, edge folded into linear and edge B into B: (4*1 + 4*2 + 4*3 + 4*4) / 16
+    assert average_mse(grid, phi) == pytest.approx(2.5)
+    # classes apart: one edge bin replaces a linear bin, and on the reuse
+    # symbol one B bin becomes edge B
+    assert average_mse(grid, phi, CLASS_PARTS) == pytest.approx(
+        (4 + 3 * 2 + 10 + 4 * 3 + 3 * 4 + 20) / 16
     )
-    # lam=4: (4*1 + 4*2 + 4*3 + 4*4) / 16
-    assert br.sigma_e2 == pytest.approx(2.5)
-    assert br.sigma_e2_full is None and br.sigma_e2_grid is None
-    br2 = average_mse(
-        grid, phi_lmmse=1.0, phi_linear=2.0, phi_a=3.0, phi_b=4.0,
-        phi_edge=10.0, phi_edge_b=20.0,
+    # two pilot windows: the first, symbols 1..4, carries the weights
+    grid7 = MiniSlotGrid(8, 7, standard_pattern(7, True, 2))
+    assert average_mse(grid7, phi) == pytest.approx(
+        (4 * 1 + 4 * 2 + 12 * 3 + 12 * 4) / 32
     )
-    # one edge bin replaces a linear bin: (4 + 3*2 + 10 + 4*3 + 4*4) / 16
-    assert br2.sigma_e2_full == pytest.approx((4 + 6 + 10 + 12 + 16) / 16)
-    # and on the reuse symbol one B bin becomes edge_b
-    assert br2.sigma_e2_grid == pytest.approx((4 + 6 + 10 + 12 + 3 * 4 + 20) / 16)
 
 
 def test_channel_estimation_mse_is_consistent():
+    """sigma_e2 is the first-window formula, bit for bit: lam pilots and
+    K - lam interpolated bins (edge included) on the pilot symbol, the same
+    split on the d_sym - 1 reuse symbols, over K * d_sym."""
     pdp = exponential_pdp(5, 1.0)
-    grid = MiniSlotGrid(64, 4, standard_pattern(4, False, 2))
-    br = channel_estimation_mse(pdp, DopplerSpec(0.05), grid, gamma=4.0)
-    lam, K, d_sym = 32, 64, 4
-    sigma = (
-        lam * br.phi_lmmse
-        + (K - lam) * br.phi_linear
-        + lam * (d_sym - 1) * br.phi_a
-        + (K - lam) * (d_sym - 1) * br.phi_b
-    ) / (K * d_sym)
-    assert br.sigma_e2 == pytest.approx(sigma, rel=1e-12)
-    assert 0.0 < br.sigma_e2 < 1.0
-    assert br.phi_edge is not None and br.sigma_e2_grid is not None
+    K = 64
+    for T, high_mobility, delta_sub, d_sym in (
+        (4, False, 2, 4), (7, True, 2, 4), (4, False, 1, 4), (4, False, 4, 4),
+    ):
+        grid = MiniSlotGrid(K, T, standard_pattern(T, high_mobility, delta_sub))
+        br = channel_estimation_mse(pdp, DopplerSpec(0.05), grid, gamma=4.0)
+        lam = K // delta_sub
+        sigma = (
+            lam * br.phi_lmmse
+            + (K - lam) * br.phi_linear
+            + lam * (d_sym - 1) * br.phi_a
+            + (K - lam) * (d_sym - 1) * br.phi_b
+        ) / (K * d_sym)
+        assert br.sigma_e2 == sigma, (T, high_mobility, delta_sub)
+        assert 0.0 < br.sigma_e2 < 1.0
+        assert 0.0 < br.sigma_e2_grid < 1.0
 
 
 def test_mse_increases_with_doppler_and_decreases_with_snr():

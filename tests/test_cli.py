@@ -385,6 +385,54 @@ def test_main_config_errors_exit_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"mystery": True})
     assert main(["select", cfg]) == 1
     capsys.readouterr()
+    # an output path that cannot be written is one line too, not a traceback
+    ok = _write_config(tmp_path, {"fdTs": 0.01, "gammaDb": 2.0, "schemes": ["FDDi", "PA"]},
+                       name="ok.json")
+    unwritable = str(tmp_path / "no-such-dir" / "out")
+    for argv in (["sweep", ok, "-o", unwritable], ["select", ok, "-o", unwritable],
+                 ["crossover", ok, "-o", unwritable]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: cannot write output file {unwritable}")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "CFG", "--pdp", "3", "-o", "OUT"], "unrecognized arguments: --pdp 3"),
+    (["sweep", "CFG"], "the following arguments are required: -o/--output"),
+    (["sweep", "CFG", "-o", "OUT", "--gamma-db"], "argument --gamma-db: expected one argument"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+], ids=("unknown-flag", "missing-output", "flag-without-value", "unknown-command",
+        "no-command"))
+def test_main_usage_errors_exit_1(tmp_path, capsys, argv, message):
+    """A usage error is a config error (exit 1, one line), not argparse's
+    exit 2, which is the numerical-failure code."""
+    cfg = _write_config(tmp_path, {"fdTs": 0.01, "gammaDb": 2.0})
+    argv = [{"CFG": cfg, "OUT": str(tmp_path / "o.csv")}.get(a, a) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and message in captured.err
+    assert captured.err.count("\n") == 1 and "usage:" not in captured.err
+
+
+def test_main_help_exits_0(capsys):
+    for argv in (["-h"], ["sweep", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+def test_main_flag_value_may_start_with_minus(tmp_path):
+    """`--gamma-db -5,0` is the list -5,0, as `--gamma-db=-5,0` is."""
+    cfg = _write_config(tmp_path, {"fdTs": 0.01, "schemes": ["FDDi"]})
+    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["sweep", cfg, "--gamma-db", "-5,0", "-o", str(out_a)]) == 0
+    assert main(["sweep", cfg, "--gamma-db=-5,0", "-o", str(out_b)]) == 0
+    assert out_a.read_text() == out_b.read_text()
+    assert [row["gammaDb"] for row in _rows(out_a.read_text())] == ["-5", "0"]
 
 
 @pytest.mark.parametrize("doc, message", [

@@ -1,4 +1,4 @@
-"""Resource grid classification and constellations."""
+"""Resource grid classes and constellations."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from minislot.grid import (
     MiniSlotGrid,
     PilotPattern,
     ReClass,
-    classify,
+    class_map,
     data_symbol_count,
     default_constellation,
     psk,
@@ -44,13 +44,9 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         MiniSlotGrid(64, 2, PilotPattern((5,), 2, 2))  # symbol outside slot
     with pytest.raises(ValueError):
-        classify(make_grid(), PA, 64, 1)  # k out of range
+        class_map(make_grid(), "DPSK")
     with pytest.raises(ValueError):
-        classify(make_grid(), PA, 0, 0)  # t is 1-based
-    with pytest.raises(ValueError):
-        classify(make_grid(), "DPSK", 0, 1)
-    with pytest.raises(ValueError):
-        classify(MiniSlotGrid(64, 2), PA, 0, 1)  # no pattern
+        class_map(MiniSlotGrid(64, 2), PA)  # no pattern
 
 
 def test_pilot_count():
@@ -59,43 +55,62 @@ def test_pilot_count():
     assert make_grid(256, 4, 2).n_pilot_subcarriers == 128
 
 
+def _cls(cmap, k, t):
+    """Class of element (k, t) of a class map; k is 0-based, t is 1-based."""
+    return ReClass(cmap[k, t - 1])
+
+
 def test_classify_pa_t2():
-    grid = make_grid(64, 2, 2)
-    assert classify(grid, PA, 0, 1) is ReClass.PILOT
-    assert classify(grid, PA, 2, 1) is ReClass.PILOT
-    assert classify(grid, PA, 1, 1) is ReClass.LINEAR_DATA
+    cmap = class_map(make_grid(64, 2, 2), PA)
+    assert cmap.shape == (64, 2)
+    assert _cls(cmap, 0, 1) is ReClass.PILOT
+    assert _cls(cmap, 2, 1) is ReClass.PILOT
+    assert _cls(cmap, 1, 1) is ReClass.LINEAR_DATA
     # last pilot at k = 62, so k = 63 extrapolates
-    assert classify(grid, PA, 63, 1) is ReClass.EDGE_DATA
-    assert classify(grid, PA, 62, 1) is ReClass.PILOT
-    assert classify(grid, PA, 61, 1) is ReClass.LINEAR_DATA
-    # non-pilot symbol: A on pilot subcarriers, B elsewhere
-    assert classify(grid, PA, 0, 2) is ReClass.REGION_A
-    assert classify(grid, PA, 2, 2) is ReClass.REGION_A
-    assert classify(grid, PA, 1, 2) is ReClass.REGION_B
-    assert classify(grid, PA, 63, 2) is ReClass.REGION_B
+    assert _cls(cmap, 63, 1) is ReClass.EDGE_DATA
+    assert _cls(cmap, 62, 1) is ReClass.PILOT
+    assert _cls(cmap, 61, 1) is ReClass.LINEAR_DATA
+    # non-pilot symbol: A on pilot subcarriers, B on interpolated ones,
+    # edge B past the last pilot
+    assert _cls(cmap, 0, 2) is ReClass.REGION_A
+    assert _cls(cmap, 2, 2) is ReClass.REGION_A
+    assert _cls(cmap, 1, 2) is ReClass.REGION_B
+    assert _cls(cmap, 63, 2) is ReClass.EDGE_REGION_B
 
 
 def test_classify_pa_wider_spacing():
-    grid = make_grid(64, 4, 4)
+    cmap = class_map(make_grid(64, 4, 4), PA)
     # pilots at k = 0, 4, ..., 60; edge = k in {61, 62, 63}
     for k in (61, 62, 63):
-        assert classify(grid, PA, k, 1) is ReClass.EDGE_DATA
-    assert classify(grid, PA, 60, 1) is ReClass.PILOT
-    assert classify(grid, PA, 59, 1) is ReClass.LINEAR_DATA
+        assert _cls(cmap, k, 1) is ReClass.EDGE_DATA
+    assert _cls(cmap, 60, 1) is ReClass.PILOT
+    assert _cls(cmap, 59, 1) is ReClass.LINEAR_DATA
+
+
+def test_classify_pa_two_pilot_symbols():
+    cmap = class_map(make_grid(64, 7, 2, high_mobility=True), PA)
+    for t in (1, 5):
+        assert _cls(cmap, 0, t) is ReClass.PILOT
+        assert _cls(cmap, 63, t) is ReClass.EDGE_DATA
+    for t in (2, 3, 4, 6, 7):
+        assert _cls(cmap, 0, t) is ReClass.REGION_A
+        assert _cls(cmap, 1, t) is ReClass.REGION_B
 
 
 def test_classify_differential():
     grid = make_grid(64, 2)
+    fddi, tddi = class_map(grid, FDDI), class_map(grid, TDDI)
     for t in (1, 2):
-        assert classify(grid, FDDI, 0, t) is ReClass.DIFF_REFERENCE
-        assert classify(grid, FDDI, 5, t) is ReClass.DIFF_DATA
+        assert _cls(fddi, 0, t) is ReClass.DIFF_REFERENCE
+        assert _cls(fddi, 5, t) is ReClass.DIFF_DATA
     for k in (0, 17, 63):
-        assert classify(grid, TDDI, k, 1) is ReClass.DIFF_REFERENCE
-        assert classify(grid, TDDI, k, 2) is ReClass.DIFF_DATA
+        assert _cls(tddi, k, 1) is ReClass.DIFF_REFERENCE
+        assert _cls(tddi, k, 2) is ReClass.DIFF_DATA
 
 
 def test_classification_partitions_grid():
-    """Tag counts must add up to K*T, and N must match the data count."""
+    """Every element gets one class, and N matches the independent count
+    formulas for each scheme."""
     rng = np.random.default_rng(11)
     for _ in range(12):
         K = int(rng.choice([16, 64, 128]))
@@ -103,25 +118,17 @@ def test_classification_partitions_grid():
         delta_sub = int(rng.choice([1, 2, 4, 8]))
         high = bool(rng.integers(0, 2))
         grid = MiniSlotGrid(K, T, standard_pattern(T, high, delta_sub))
+        expect = {
+            # data = everything except pilots / the reference column or row
+            PA: K * T - grid.n_pilot_subcarriers * len(grid.pattern.pilot_symbols),
+            FDDI: (K - 1) * T,
+            TDDI: K * (T - 1),
+        }
         for scheme in SCHEMES:
-            tags = [
-                classify(grid, scheme, k, t)
-                for k in range(K)
-                for t in range(1, T + 1)
-            ]
-            assert len(tags) == K * T
-            n_data = sum(
-                tag
-                not in (ReClass.PILOT, ReClass.DIFF_REFERENCE)
-                for tag in tags
-            )
-            if scheme == PA:
-                # data = everything except pilots
-                expect = K * T - grid.n_pilot_subcarriers * len(
-                    grid.pattern.pilot_symbols
-                )
-                assert n_data == expect
-            assert n_data == data_symbol_count(grid, scheme)
+            cmap = class_map(grid, scheme)
+            assert cmap.shape == (K, T)
+            assert set(np.unique(cmap)) <= set(ReClass)
+            assert data_symbol_count(grid, scheme) == expect[scheme]
 
 
 def test_data_symbol_counts_standard_cases():
