@@ -13,6 +13,8 @@ parameter sweeps, scheme selection and Doppler crossover searches from
 JSON scenarios.
 """
 
+import importlib
+
 from .channel import (
     ChannelGrid,
     DopplerSpec,
@@ -62,10 +64,8 @@ from .chanest import (
     interpolate_linear,
     lmmse_estimate,
     measure_mse,
-    phi_linear,
+    mse_map,
     phi_lmmse,
-    phi_region_a,
-    phi_region_b,
     pilot_covariance,
 )
 from .fbl import (
@@ -98,16 +98,16 @@ from .bounds import (
     is_lower_bound,
     lattice_bounds,
 )
-from .cli import (
-    ConfigError,
-    Recommendation,
-    Scenario,
-    doppler_crossover,
-    run_sweep,
-    select_scheme,
-)
 
 __version__ = "0.1.0"
+
+# The CLI loads on first use (__getattr__ below), so that
+# `python -m minislot.cli` runs a module the package import has not already
+# executed.
+_CLI_NAMES = (
+    "ConfigError", "Recommendation", "Scenario", "doppler_crossover",
+    "run_sweep", "select_scheme",
+)
 
 __all__ = [
     "__version__",
@@ -127,8 +127,7 @@ __all__ = [
     "EstimationCollapseError", "MseBreakdown", "MseMeasurement",
     "PilotCovariance", "average_mse", "channel_estimation_mse",
     "effective_snr", "interpolate_linear", "lmmse_estimate", "measure_mse",
-    "phi_linear", "phi_lmmse", "phi_region_a", "phi_region_b",
-    "pilot_covariance",
+    "mse_map", "phi_lmmse", "pilot_covariance",
     # fbl
     "DiffChannelParams", "EquivalentChannel", "FblResult",
     "InfeasiblePayloadError", "IvEstimate", "ModelFidelityWarning",
@@ -144,6 +143,12 @@ __all__ = [
     "BoundEstimate", "block_density_samples", "dt_upper_bound",
     "is_lower_bound", "lattice_bounds",
     # cli
-    "ConfigError", "Recommendation", "Scenario", "doppler_crossover",
-    "run_sweep", "select_scheme",
+    *_CLI_NAMES,
 ]
+
+
+def __getattr__(name):
+    if name == "cli" or name in _CLI_NAMES:
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -39,6 +39,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,9 +74,10 @@ class ConfigError(ValueError):
     """Scenario or flag validation failed."""
 
 
-# Largest accepted K, M and |gammaDb|. The pilot covariance is a
-# (K/deltaSub)^2 matrix and the --bounds lattice grows with N (a K=1024,
-# T=7 bounds sweep takes 5-17 s and 660-770 MB); the coherent law's arrays
+# Largest accepted K, M and |gammaDb|. The --bounds lattice grows with N (a
+# K=1024, T=7 bounds sweep takes 5-17 s and 660-770 MB), and measure_mse,
+# the Monte Carlo check of the closed-form MSE, filters with the
+# (K/deltaSub)^2 pilot covariance; the coherent law's arrays
 # grow with M (a 64-QAM PA select peaks near 350 MB); and 2000 dB overflows
 # the differential channel's coefficients, while +-300 dB still evaluates.
 K_MAX = 1024
@@ -628,7 +630,17 @@ def _join_flag_values(argv: list) -> list:
     return out
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning  # one stderr line per warning
+        return _main(argv)
+
+
+def _main(argv) -> int:
     parser = _Parser(
         prog="minislot",
         description="Finite-blocklength link analysis for mini-slot OFDM "

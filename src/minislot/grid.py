@@ -3,10 +3,11 @@
 A mini-slot spans T in {2, 4, 7} OFDM symbols over K subcarriers. The
 pilot-assisted scheme places all-ones pilots on one or two pilot-carrying
 symbols at every delta_sub-th subcarrier starting from k = 0; differential
-schemes carry a reference column/row instead of pilots. class_map is the one
-definition of that geometry: its classes partition the K x T grid, and their
-counts drive the data-symbol accounting and the weights of the
-estimation-MSE averages in chanest.
+schemes carry a reference column/row instead of pilots. Every other symbol
+reuses the estimates of its nearest preceding pilot symbol
+(source_pilot_symbols). class_map is the one definition of that geometry: its
+classes partition the K x T grid, and their counts drive the data-symbol
+accounting and the estimation-MSE averages in chanest.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "default_constellation",
     "standard_pattern",
     "PA_CLASSES",
+    "source_pilot_symbols",
     "class_map",
     "class_counts",
     "data_symbol_count",
@@ -129,6 +131,19 @@ _PA_CLASSES = np.array([
 PA_CLASSES = tuple(ReClass(c) for c in _PA_CLASSES.flat)
 
 
+def source_pilot_symbols(grid: MiniSlotGrid) -> np.ndarray:
+    """The pilot symbol whose estimates each symbol uses: a (T,) int array,
+    entry t - 1 the nearest pilot-carrying symbol s <= t (s = t on the pilot
+    symbols themselves). Symbol 1 must carry pilots."""
+    if grid.pattern is None:
+        raise ValueError("pilot-assisted estimation needs a pilot pattern")
+    pilots = np.array(grid.pattern.pilot_symbols)
+    if pilots[0] != 1:
+        raise ValueError("symbol 1 must carry pilots: no earlier pilot symbol to reuse")
+    t = np.arange(1, grid.n_symbols + 1)
+    return pilots[np.searchsorted(pilots, t, side="right") - 1]
+
+
 def class_map(grid: MiniSlotGrid, scheme: str) -> np.ndarray:
     """The class of every resource element: a (K, T) int8 array of ReClass
     codes, row k the 0-based subcarrier, column t - 1 the 1-based symbol t.
@@ -150,14 +165,12 @@ def class_map(grid: MiniSlotGrid, scheme: str) -> np.ndarray:
         return cmap
     if scheme != PA:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if grid.pattern is None:
-        raise ValueError("pilot-assisted classification needs a pilot pattern")
+    t_role = (source_pilot_symbols(grid) != np.arange(1, T + 1)).astype(np.intp)
     delta_sub = grid.pattern.delta_sub
     k_role = np.ones(K, dtype=np.intp)
     k_role[::delta_sub] = 0  # pilots anchored at k = 0, step delta_sub
     k_role[K - delta_sub + 1:] = 2  # past the last pilot, k = K - delta_sub
-    t_role = [int(t not in grid.pattern.pilot_symbols) for t in range(1, T + 1)]
-    return _PA_CLASSES[np.array(t_role)[None, :], k_role[:, None]]
+    return _PA_CLASSES[t_role[None, :], k_role[:, None]]
 
 
 def class_counts(grid: MiniSlotGrid, scheme: str, n_symbols: int | None = None) -> list:

@@ -16,6 +16,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 
+from minislot.channel import freq_correlation, time_correlation
+
 # ---------------------------------------------------------------------------
 # Frozen quadrature values (deterministic; see functions below)
 # ---------------------------------------------------------------------------
@@ -62,6 +64,91 @@ def lmmse_mse_direct(R, gamma):
     n = R.shape[0]
     A = R @ np.linalg.inv(R + np.eye(n) / gamma)
     return float(np.real(np.trace(R - A @ R)) / n)
+
+
+# ---------------------------------------------------------------------------
+# Hand-expanded closed-form MSE per resource-element class
+# ---------------------------------------------------------------------------
+# Each class's MSE averaged over one pilot window of delta_sym symbols, with
+# the sums over subcarrier offsets kd = 1..delta-1 and reuse lags
+# dt = 1..delta_sym-1 expanded by hand (white pilot errors of variance phi).
+# Degenerate geometries fall back to the class that remains.
+
+def _re_rho_f(pdp, n_subcarriers, lags):
+    return np.array(
+        [freq_correlation(int(l), pdp, n_subcarriers).real for l in np.atleast_1d(lags)]
+    )
+
+
+def _interp_constant(delta, re_rho_delta, phi):
+    """(5d-1)/(3d) + ((d+1)/(3d)) Re rho_f(d) + ((2d-1)/(3d)) phi."""
+    d = float(delta)
+    return ((5 * d - 1) / (3 * d) + (d + 1) / (3 * d) * re_rho_delta
+            + (2 * d - 1) / (3 * d) * phi)
+
+
+def _interp_cross(pdp, n_subcarriers, delta):
+    """Per-offset cross term ((d-kd)/d) Re rho_f(kd) + (kd/d) Re rho_f(d-kd)."""
+    kd = np.arange(1, delta, dtype=float)
+    rho_kd = _re_rho_f(pdp, n_subcarriers, kd)
+    rho_rev = _re_rho_f(pdp, n_subcarriers, delta - kd)
+    return (delta - kd) / delta * rho_kd + kd / delta * rho_rev
+
+
+def phi_linear(pdp, n_subcarriers, delta, phi):
+    """Interpolated subcarriers on a pilot symbol."""
+    if delta == 1:
+        return 0.0
+    rho_delta = float(_re_rho_f(pdp, n_subcarriers, delta)[0])
+    cross = _interp_cross(pdp, n_subcarriers, delta)
+    return float(_interp_constant(delta, rho_delta, phi) - 2.0 / (delta - 1) * cross.sum())
+
+
+def phi_edge(pdp, n_subcarriers, delta, phi):
+    """Subcarriers extrapolated past the last pilot, on a pilot symbol:
+    weights a = -kd/d on the second-to-last pilot, b = (d+kd)/d on the last."""
+    return phi_edge_region_b(pdp, 0.0, n_subcarriers, delta, 1, phi)
+
+
+def phi_region_a(doppler, delta_sym, phi):
+    """Pilot subcarriers on the symbols reusing the pilot symbol's estimates."""
+    if delta_sym == 1:
+        return float(phi)
+    rho_t = time_correlation(np.arange(1, delta_sym), doppler)
+    return float(2.0 + phi - 2.0 / (delta_sym - 1) * rho_t.sum())
+
+
+def phi_region_b(pdp, doppler, n_subcarriers, delta, delta_sym, phi):
+    """Interpolated subcarriers on reuse symbols."""
+    if delta_sym == 1:
+        return phi_linear(pdp, n_subcarriers, delta, phi)
+    if delta == 1:
+        return phi_region_a(doppler, delta_sym, phi)
+    rho_delta = float(_re_rho_f(pdp, n_subcarriers, delta)[0])
+    cross = _interp_cross(pdp, n_subcarriers, delta)
+    rho_t = time_correlation(np.arange(1, delta_sym), doppler)
+    double_sum = float(np.outer(rho_t, cross).sum())
+    return float(_interp_constant(delta, rho_delta, phi)
+                 - 2.0 / ((delta_sym - 1) * (delta - 1)) * double_sum)
+
+
+def phi_edge_region_b(pdp, doppler, n_subcarriers, delta, delta_sym, phi):
+    """Extrapolated subcarriers on reuse symbols; delta_sym = 1 leaves the
+    pilot symbol alone (lag 0). The pilot-to-pilot term carries no time
+    correlation, both pilots living on the same symbol."""
+    if delta == 1:
+        return phi_region_a(doppler, delta_sym, phi)
+    kd = np.arange(1, delta, dtype=float)
+    a = -kd / delta
+    b = (delta + kd) / delta
+    rho_delta = float(_re_rho_f(pdp, n_subcarriers, delta)[0])
+    rho_kd = _re_rho_f(pdp, n_subcarriers, kd)
+    rho_dk = _re_rho_f(pdp, n_subcarriers, delta + kd)
+    lags = np.arange(1, delta_sym) if delta_sym > 1 else np.zeros(1)
+    rho_t = time_correlation(lags, doppler)
+    per = (1.0 + a * a + b * b + 2 * a * b * rho_delta + (a * a + b * b) * phi
+           - 2.0 * rho_t[:, None] * (a * rho_dk + b * rho_kd))
+    return float(per.mean())
 
 
 # ---------------------------------------------------------------------------

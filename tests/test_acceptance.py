@@ -31,11 +31,6 @@ from minislot.chanest import (
     channel_estimation_mse,
     effective_snr,
     measure_mse,
-    phi_lmmse,
-    phi_linear,
-    phi_region_a,
-    phi_region_b,
-    pilot_covariance,
 )
 from minislot.fbl import (
     DiffChannelParams,

@@ -1,11 +1,13 @@
 """Channel estimation: LMMSE filtering, interpolation, closed-form MSE."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from minislot._util import db_to_lin
 from minislot.channel import DopplerSpec, PowerDelayProfile, exponential_pdp
 from minislot.chanest import (
-    CLASS_PARTS,
     EstimationCollapseError,
     average_mse,
     channel_estimation_mse,
@@ -13,15 +15,13 @@ from minislot.chanest import (
     interpolate_linear,
     lmmse_estimate,
     measure_mse,
-    phi_edge,
-    phi_linear,
+    mse_map,
     phi_lmmse,
-    phi_region_a,
-    phi_region_b,
     pilot_covariance,
 )
-from minislot.grid import MiniSlotGrid, PilotPattern, ReClass, standard_pattern
+from minislot.grid import PA, MiniSlotGrid, PilotPattern, ReClass, class_map, standard_pattern
 
+import oracles
 from oracles import lmmse_mse_direct
 
 
@@ -36,6 +36,17 @@ def test_pilot_covariance_structure():
     assert np.allclose(R[1:, 1:], R[:-1, :-1])
     assert np.all(cov.psi >= 0.0)
     assert cov.psi.sum() == pytest.approx(32.0, rel=1e-10)
+
+
+def test_pilot_spectrum_matches_eigensolve():
+    """psi, lambda_p times the tap powers aliased modulo lambda_p, is the
+    spectrum of the circulant R, also where L > lambda_p folds taps."""
+    for (n_taps, decay), K, delta in itertools.product(
+        ((5, 1.0), (40, 0.1)), (16, 64, 256), (1, 2, 4, 8)
+    ):
+        cov = pilot_covariance(exponential_pdp(n_taps, decay), K, delta)
+        want = np.linalg.eigvalsh(cov.R)
+        assert np.max(np.abs(np.sort(cov.psi) - want)) <= 1e-12, (n_taps, K, delta)
 
 
 def test_pilot_covariance_rejects_bad_spacing():
@@ -105,45 +116,90 @@ def test_interpolate_linear_needs_two_pilots():
         interpolate_linear(np.ones(1, dtype=complex), 4)
 
 
+def test_mse_map_class_means_match_hand_formulas():
+    """Every MseBreakdown component, a mean of the per-element map over one
+    class of the first pilot window, equals the hand-expanded class formula
+    given the same phi; pdp (40, 0.1) folds taps past lambda_p."""
+    for (n_taps, decay), K, T, high_mobility, delta, fd, gamma in itertools.product(
+        ((5, 1.0), (40, 0.1)), (8, 16, 64, 256), (2, 4, 7), (False, True),
+        (1, 2, 4, 8), (0.0, 0.05, 0.2), (0.5, 4.0, 100.0),
+    ):
+        if n_taps >= K or K // delta < 2:
+            continue
+        pdp, doppler = exponential_pdp(n_taps, decay), DopplerSpec(fd)
+        grid = MiniSlotGrid(K, T, standard_pattern(T, high_mobility, delta))
+        d_sym = grid.pattern.delta_sym
+        br = channel_estimation_mse(pdp, doppler, grid, gamma)
+        phi = br.phi_lmmse
+        hand = {
+            ReClass.PILOT: phi,
+            ReClass.LINEAR_DATA: oracles.phi_linear(pdp, K, delta, phi),
+            ReClass.EDGE_DATA: oracles.phi_edge(pdp, K, delta, phi),
+            ReClass.REGION_A: oracles.phi_region_a(doppler, d_sym, phi),
+            ReClass.REGION_B: oracles.phi_region_b(pdp, doppler, K, delta, d_sym, phi),
+            ReClass.EDGE_REGION_B: oracles.phi_edge_region_b(
+                pdp, doppler, K, delta, d_sym, phi),
+        }
+        got = {
+            ReClass.LINEAR_DATA: br.phi_linear, ReClass.EDGE_DATA: br.phi_edge,
+            ReClass.REGION_A: br.phi_a, ReClass.REGION_B: br.phi_b,
+            ReClass.EDGE_REGION_B: br.phi_edge_b,
+        }
+        window = class_map(grid, PA)[:, :d_sym]
+        case = (n_taps, K, T, high_mobility, delta, fd, gamma)
+        for c, value in got.items():
+            if np.any(window == c):
+                assert value == pytest.approx(hand[c], abs=1e-14), (case, c)
+            else:
+                assert np.isnan(value), (case, c)
+        assert br.sigma_e2 == pytest.approx(average_mse(grid, hand), abs=1e-14), case
+
+
 def test_phi_components_no_doppler_degeneracies():
     """At fdTs = 0, time reuse is free: A collapses to the pilot MSE and B
     to the interpolation MSE."""
     pdp = exponential_pdp(5, 1.0)
-    phi = 0.05
-    assert phi_region_a(DopplerSpec(0.0), 4, phi) == pytest.approx(phi, abs=1e-12)
-    b = phi_region_b(pdp, DopplerSpec(0.0), 64, 2, 4, phi)
-    lin = phi_linear(pdp, 64, 2, phi)
-    assert b == pytest.approx(lin, abs=1e-12)
+    grid = MiniSlotGrid(64, 4, standard_pattern(4, False, 2))
+    br = channel_estimation_mse(pdp, DopplerSpec(0.0), grid, 4.0)
+    assert br.phi_a == pytest.approx(br.phi_lmmse, abs=1e-12)
+    assert br.phi_b == pytest.approx(br.phi_linear, abs=1e-12)
 
 
 def test_phi_components_structural_reductions():
     pdp = exponential_pdp(5, 1.0)
     doppler = DopplerSpec(0.1)
-    phi = 0.07
-    # no reuse symbols: delta_sym = 1
-    assert phi_region_a(doppler, 1, phi) == phi
-    assert phi_region_b(pdp, doppler, 64, 2, 1, phi) == pytest.approx(
-        phi_linear(pdp, 64, 2, phi), abs=1e-14
-    )
-    # no interpolated subcarriers: delta_sub = 1
-    assert phi_linear(pdp, 64, 1, phi) == 0.0
-    assert phi_region_b(pdp, doppler, 64, 1, 4, phi) == pytest.approx(
-        phi_region_a(doppler, 4, phi), abs=1e-14
-    )
+    # no reuse symbols (delta_sym = 1): both symbols carry pilots, so their
+    # columns are equal and regions A and B are absent
+    grid = MiniSlotGrid(64, 2, PilotPattern((1, 2), 2, 1))
+    br = channel_estimation_mse(pdp, doppler, grid, 4.0)
+    mse = mse_map(pdp, doppler, grid, br.phi_lmmse)
+    assert np.array_equal(mse[:, 1], mse[:, 0])
+    assert np.isnan(br.phi_a) and np.isnan(br.phi_b)
+    # no interpolated subcarriers (delta_sub = 1): every subcarrier is a
+    # pilot, region B collapses into region A, interpolated classes absent
+    grid = MiniSlotGrid(64, 4, standard_pattern(4, False, 1))
+    br = channel_estimation_mse(pdp, doppler, grid, 4.0)
+    mse = mse_map(pdp, doppler, grid, br.phi_lmmse)
+    assert np.all(mse[:, 0] == br.phi_lmmse)
+    assert np.allclose(mse[:, 1:].mean(), br.phi_a, rtol=0, atol=1e-14)
+    assert np.isnan(br.phi_linear) and np.isnan(br.phi_b)
 
 
 def test_phi_linear_floor_is_channel_deficiency():
     """As SNR grows the interpolation MSE drops to a positive floor set by
     the channel's frequency selectivity alone; a flat channel has none."""
     pdp = exponential_pdp(5, 1.0)
-    vals = [phi_linear(pdp, 64, 2, phi_lmmse(pilot_covariance(pdp, 64, 2), g))
+    grid = MiniSlotGrid(64, 2, standard_pattern(2, False, 2))
+    doppler = DopplerSpec(0.0)
+    vals = [channel_estimation_mse(pdp, doppler, grid, g).phi_linear
             for g in (1.0, 10.0, 100.0, 1e6)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-    floor = phi_linear(pdp, 64, 2, 0.0)
+    linear = class_map(grid, PA) == ReClass.LINEAR_DATA
+    floor = mse_map(pdp, doppler, grid, 0.0)[linear].mean()
     assert floor > 0.0
     assert vals[-1] == pytest.approx(floor, abs=1e-4)
     flat = PowerDelayProfile(np.array([1.0]))
-    assert phi_linear(flat, 64, 2, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert mse_map(flat, doppler, grid, 0.0)[linear].mean() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_average_mse_weighting():
@@ -154,11 +210,10 @@ def test_average_mse_weighting():
     grid = MiniSlotGrid(8, 2, PilotPattern((1,), 2, 2))
     # lam=4, edge folded into linear and edge B into B: (4*1 + 4*2 + 4*3 + 4*4) / 16
     assert average_mse(grid, phi) == pytest.approx(2.5)
-    # classes apart: one edge bin replaces a linear bin, and on the reuse
-    # symbol one B bin becomes edge B
-    assert average_mse(grid, phi, CLASS_PARTS) == pytest.approx(
-        (4 + 3 * 2 + 10 + 4 * 3 + 3 * 4 + 20) / 16
-    )
+    # delta_sub = 1 has no interpolated bins: their nan parts are skipped
+    grid1 = MiniSlotGrid(8, 2, PilotPattern((1,), 1, 2))
+    absent = {**phi, ReClass.LINEAR_DATA: np.nan, ReClass.REGION_B: np.nan}
+    assert average_mse(grid1, absent) == pytest.approx((8 * 1 + 8 * 3) / 16)
     # two pilot windows: the first, symbols 1..4, carries the weights
     grid7 = MiniSlotGrid(8, 7, standard_pattern(7, True, 2))
     assert average_mse(grid7, phi) == pytest.approx(
@@ -178,12 +233,14 @@ def test_channel_estimation_mse_is_consistent():
         grid = MiniSlotGrid(K, T, standard_pattern(T, high_mobility, delta_sub))
         br = channel_estimation_mse(pdp, DopplerSpec(0.05), grid, gamma=4.0)
         lam = K // delta_sub
-        sigma = (
-            lam * br.phi_lmmse
-            + (K - lam) * br.phi_linear
-            + lam * (d_sym - 1) * br.phi_a
-            + (K - lam) * (d_sym - 1) * br.phi_b
-        ) / (K * d_sym)
+        terms = (
+            (lam, br.phi_lmmse),
+            (K - lam, br.phi_linear),
+            (lam * (d_sym - 1), br.phi_a),
+            ((K - lam) * (d_sym - 1), br.phi_b),
+        )
+        # delta_sub = 1 has no interpolated bins: their terms drop out
+        sigma = sum(n * phi for n, phi in terms if n) / (K * d_sym)
         assert br.sigma_e2 == sigma, (T, high_mobility, delta_sub)
         assert 0.0 < br.sigma_e2 < 1.0
         assert 0.0 < br.sigma_e2_grid < 1.0
@@ -233,22 +290,31 @@ def test_measured_lmmse_matches_closed_form():
 
 
 def test_measured_matched_classes_match_formulas():
+    """The white-error Monte Carlo sits on the closed forms. Where two pilot
+    windows exist (T = 7, high mobility) only the whole-grid average is
+    comparable: the class formulas describe the first window."""
     pdp = exponential_pdp(5, 1.0)
-    grid = MiniSlotGrid(64, 4, standard_pattern(4, False, 2))
-    doppler = DopplerSpec(0.05)
-    gamma = 2.0
-    br = channel_estimation_mse(pdp, doppler, grid, gamma)
-    m = measure_mse(pdp, doppler, grid, gamma, 20_000, seed=13)
-    assert m.phi_linear == pytest.approx(br.phi_linear, abs=4 * m.phi_linear_se)
-    assert m.phi_a == pytest.approx(br.phi_a, abs=4 * m.phi_a_se)
-    assert m.phi_b == pytest.approx(br.phi_b, abs=4 * m.phi_b_se)
-    assert m.phi_edge == pytest.approx(br.phi_edge, abs=4 * m.phi_edge_se)
-    assert m.phi_edge_b == pytest.approx(br.phi_edge_b, abs=4 * m.phi_edge_b_se)
-    assert m.sigma_e2 == pytest.approx(br.sigma_e2, abs=4 * m.sigma_e2_se)
-    # the true grid average matches the edge-aware recombination
-    assert m.sigma_e2_grid == pytest.approx(
-        br.sigma_e2_grid, abs=4 * m.sigma_e2_grid_se
-    )
+    for T, high_mobility, fd, gamma in (
+        (4, False, 0.05, 2.0),
+        (7, True, 0.05, db_to_lin(6.0)),
+        (7, True, 0.1, db_to_lin(6.0)),
+    ):
+        grid = MiniSlotGrid(64, T, standard_pattern(T, high_mobility, 2))
+        doppler = DopplerSpec(fd)
+        br = channel_estimation_mse(pdp, doppler, grid, gamma)
+        m = measure_mse(pdp, doppler, grid, gamma, 20_000, seed=13)
+        # the true grid average matches the map's mean over all K*T elements
+        assert m.sigma_e2_grid == pytest.approx(
+            br.sigma_e2_grid, abs=4 * m.sigma_e2_grid_se
+        ), (T, fd)
+        if len(grid.pattern.pilot_symbols) > 1:
+            continue
+        assert m.phi_linear == pytest.approx(br.phi_linear, abs=4 * m.phi_linear_se)
+        assert m.phi_a == pytest.approx(br.phi_a, abs=4 * m.phi_a_se)
+        assert m.phi_b == pytest.approx(br.phi_b, abs=4 * m.phi_b_se)
+        assert m.phi_edge == pytest.approx(br.phi_edge, abs=4 * m.phi_edge_se)
+        assert m.phi_edge_b == pytest.approx(br.phi_edge_b, abs=4 * m.phi_edge_b_se)
+        assert m.sigma_e2 == pytest.approx(br.sigma_e2, abs=4 * m.sigma_e2_se)
 
 
 def test_estimator_model_interpolation_penalty_is_real():

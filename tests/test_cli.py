@@ -6,11 +6,15 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import minislot
 from minislot.cli import (
     CONFIG_FIELDS,
     CSV_COLUMNS,
@@ -570,3 +574,32 @@ def test_main_numerical_failure_exit_2(tmp_path, capsys):
     })
     assert main(["select", cfg]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _cli_stderr_lines(tmp_path, doc):
+    """Exit code and stderr lines of `python -m minislot.cli select` on doc,
+    run on the imported package, with Python's default warning filters."""
+    env = dict(os.environ)
+    pkg_root = str(Path(minislot.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "minislot.cli", "select", _write_config(tmp_path, doc)],
+        capture_output=True, text=True, env=env,
+    )
+    return proc.returncode, proc.stderr.splitlines()
+
+
+def test_cli_stderr_one_line_per_message(tmp_path):
+    """A warning prints as one `warning:` line ahead of the failure line, and
+    running the module prints no import warning of its own."""
+    code, lines = _cli_stderr_lines(
+        tmp_path, {"fdTs": 0.3, "gammaDb": 10, "T": 7, "schemes": ["FDDi", "PA"]})
+    assert code == 2
+    assert len(lines) == 2, lines
+    assert lines[0].startswith("warning: |Im rho_f(1)|")
+    assert lines[1].startswith("numerical failure: ")
+    code, lines = _cli_stderr_lines(tmp_path, {"K": 63})
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("config error: "), lines

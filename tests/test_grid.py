@@ -18,6 +18,7 @@ from minislot.grid import (
     default_constellation,
     psk,
     qam,
+    source_pilot_symbols,
     standard_pattern,
 )
 
@@ -95,6 +96,17 @@ def test_classify_pa_two_pilot_symbols():
     for t in (2, 3, 4, 6, 7):
         assert _cls(cmap, 0, t) is ReClass.REGION_A
         assert _cls(cmap, 1, t) is ReClass.REGION_B
+
+
+def test_source_pilot_symbols():
+    """Each symbol reuses its nearest preceding pilot symbol."""
+    assert source_pilot_symbols(make_grid(64, 4, 2)).tolist() == [1, 1, 1, 1]
+    assert source_pilot_symbols(make_grid(64, 7, 2, high_mobility=True)).tolist() == [
+        1, 1, 1, 1, 5, 5, 5]
+    with pytest.raises(ValueError):
+        source_pilot_symbols(MiniSlotGrid(64, 4, PilotPattern((2,), 2, 3)))
+    with pytest.raises(ValueError):
+        source_pilot_symbols(MiniSlotGrid(64, 4))  # no pattern
 
 
 def test_classify_differential():
