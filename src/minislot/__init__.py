@@ -57,7 +57,6 @@ from .chanest import (
     EstimationCollapseError,
     MseBreakdown,
     MseMeasurement,
-    PilotCovariance,
     average_mse,
     channel_estimation_mse,
     effective_snr,
@@ -66,7 +65,7 @@ from .chanest import (
     measure_mse,
     mse_map,
     phi_lmmse,
-    pilot_covariance,
+    pilot_spectrum,
 )
 from .fbl import (
     DiffChannelParams,
@@ -125,9 +124,9 @@ __all__ = [
     "fast_rx", "ofdm_time_domain_chain",
     # chanest
     "EstimationCollapseError", "MseBreakdown", "MseMeasurement",
-    "PilotCovariance", "average_mse", "channel_estimation_mse",
+    "average_mse", "channel_estimation_mse",
     "effective_snr", "interpolate_linear", "lmmse_estimate", "measure_mse",
-    "mse_map", "phi_lmmse", "pilot_covariance",
+    "mse_map", "phi_lmmse", "pilot_spectrum",
     # fbl
     "DiffChannelParams", "EquivalentChannel", "FblResult",
     "InfeasiblePayloadError", "IvEstimate", "ModelFidelityWarning",

@@ -8,10 +8,12 @@ nearest preceding pilot symbol's estimates on the remaining OFDM symbols
 subcarrier k is estimated as a h_p[j] + b h_p[j + 1] from pilots j and j + 1.
 interpolate_linear applies it and mse_map reads it.
 
-The pilot covariance is circulant, so the per-pilot LMMSE residual is
-phi = mean(psi / (gamma psi + 1)) over its spectrum psi: lambda_p times the
-tap powers aliased modulo lambda_p. With the pilot estimates taken as the
-channel plus white errors of variance phi, element (k, t) has
+The pilot covariance is circulant, so one spectrum states the LMMSE stage:
+pilot_spectrum's psi, lambda_p times the tap powers aliased modulo lambda_p.
+The filter is the gain psi / (psi + 1/gamma) per DFT bin of the pilot
+observations, and its per-pilot residual is phi = mean(psi / (gamma psi + 1)).
+With the pilot estimates taken as the channel plus white errors of variance
+phi, element (k, t) has
 
   MSE = 1 + a^2 + b^2 + 2ab Re rho_f(delta) + (a^2 + b^2) phi
         - 2 rho_t(dt) (a Re rho_f(u) + b Re rho_f(u - delta)),
@@ -19,9 +21,10 @@ channel plus white errors of variance phi, element (k, t) has
 where u = k - j delta is the offset from pilot j and dt the lag of symbol t
 behind the pilot symbol it reuses; pilots read phi itself. Each MseBreakdown
 component is the mean of this map over one class of grid.class_map on the
-first pilot window, symbols 1..delta_sym; sigma_e2 weights them by that
-window's class counts, and sigma_e2_grid is the map's mean over all K*T
-elements.
+first pilot window, the symbols whose source_pilot_symbols entry is 1;
+sigma_e2 weights them by that window's class counts, and sigma_e2_grid is
+the map's mean over all K*T elements. measure_mse reduces its squared errors
+over the same window with the same function.
 
 The white-error premise is exact for the LMMSE residual variance itself but
 an approximation for the interpolation and reuse stages, where the actual
@@ -36,33 +39,25 @@ demos/demo_estimation_mse.py shows it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from ._util import as_rng
-from .channel import (
-    PowerDelayProfile,
-    freq_correlation,
-    sample_channel_grids,
-    time_correlation,
-)
+from .channel import freq_correlation, sample_channel_grids, time_correlation
 from .grid import (
     PA,
     PA_CLASSES,
     MiniSlotGrid,
     ReClass,
-    class_counts,
     class_map,
     source_pilot_symbols,
 )
 
 __all__ = [
     "EstimationCollapseError",
-    "PilotCovariance",
     "MseBreakdown",
     "MseMeasurement",
-    "pilot_covariance",
+    "pilot_spectrum",
     "lmmse_estimate",
     "interpolate_linear",
     "phi_lmmse",
@@ -79,63 +74,34 @@ class EstimationCollapseError(ValueError):
     """sigma_e^2 >= 1: estimation error swamps the signal, no effective SNR."""
 
 
-@dataclass(frozen=True)
-class PilotCovariance:
-    """Channel autocorrelation at the lambda_p = K / delta_sub pilot subcarriers.
+def pilot_spectrum(pdp, n_subcarriers: int, delta_sub: int) -> np.ndarray:
+    """Spectrum psi of the channel autocorrelation at the lambda_p =
+    K / delta_sub pilot subcarriers, R[i, j] = rho_f((i - j) delta_sub).
 
-    R[i, j] = freq_correlation((i - j) * delta_sub) depends on i - j only
-    modulo lambda_p, so R is circulant and its eigenvalues psi are lambda_p
-    times the tap powers aliased modulo lambda_p (trace lambda_p). R is built
-    on first use, by the LMMSE filter; phi_lmmse needs psi alone.
+    R depends on i - j only modulo lambda_p, so it is circulant and psi is
+    lambda_p times the tap powers aliased modulo lambda_p: entry l holds the
+    taps l mod lambda_p (trace lambda_p).
     """
-
-    pdp: PowerDelayProfile
-    n_subcarriers: int
-    delta_sub: int
-
-    @property
-    def psi(self) -> np.ndarray:
-        lam, taps = self.n_subcarriers // self.delta_sub, self.pdp.taps
-        return lam * np.bincount(np.arange(taps.size) % lam, weights=taps, minlength=lam)
-
-    @cached_property
-    def R(self) -> np.ndarray:
-        lam, delta = self.n_subcarriers // self.delta_sub, self.delta_sub
-        first_col = np.array([
-            freq_correlation(int(l * delta), self.pdp, self.n_subcarriers)
-            for l in range(lam)
-        ])
-        lags = np.arange(lam)[:, None] - np.arange(lam)[None, :]
-        R = first_col[np.abs(lags)]
-        R[lags < 0] = R[lags < 0].conj()
-        return R
-
-
-def pilot_covariance(pdp, n_subcarriers: int, delta_sub: int) -> PilotCovariance:
     if n_subcarriers % delta_sub != 0:
         raise ValueError("delta_sub must divide K")
-    return PilotCovariance(pdp, n_subcarriers, delta_sub)
+    lam, taps = n_subcarriers // delta_sub, pdp.taps
+    return lam * np.bincount(np.arange(taps.size) % lam, weights=taps, minlength=lam)
 
 
-def _lmmse_filter(cov: PilotCovariance, gamma: float) -> np.ndarray:
-    """A = R (R + I/gamma)^{-1}; returned so x -> A @ x."""
+def lmmse_estimate(ls_estimates, pdp, delta_sub: int, gamma: float) -> np.ndarray:
+    """LMMSE-filter least-squares pilot observations, R (R + I/gamma)^{-1} x.
+
+    Accepts one observation vector (lambda_p,) or a batch (n, lambda_p) and
+    filters along the last axis. R is circulant, so the filter is the gain
+    psi / (psi + 1/gamma) per DFT bin; bin q carries psi[-q mod lambda_p].
+    """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    n = cov.R.shape[0]
-    # solve gives (R + I/g)^{-1} R = A^H since both factors are Hermitian
-    ah = np.linalg.solve(cov.R + np.eye(n) / gamma, cov.R)
-    return ah.conj().T
-
-
-def lmmse_estimate(ls_estimates, cov: PilotCovariance, gamma: float) -> np.ndarray:
-    """LMMSE-filter least-squares pilot observations.
-
-    Accepts one observation vector (lambda_p,) or a batch (n, lambda_p);
-    the filter R (R + I/gamma)^{-1} applies along the last axis.
-    """
     ls = np.asarray(ls_estimates, dtype=complex)
-    filt = _lmmse_filter(cov, gamma)
-    return ls @ filt.T
+    lam = ls.shape[-1]
+    psi = pilot_spectrum(pdp, lam * delta_sub, delta_sub)
+    gain = psi / (psi + 1.0 / gamma)
+    return np.fft.ifft(np.fft.fft(ls, axis=-1) * gain[-np.arange(lam) % lam], axis=-1)
 
 
 def _interp_weights(n_pilots: int, delta_sub: int):
@@ -174,11 +140,12 @@ def interpolate_linear(h_pilots, delta_sub: int) -> np.ndarray:
 # Closed-form MSE
 # ---------------------------------------------------------------------------
 
-def phi_lmmse(cov: PilotCovariance, gamma: float) -> float:
+def phi_lmmse(pdp, n_subcarriers: int, delta_sub: int, gamma: float) -> float:
     """Per-pilot LMMSE residual MSE (1/lambda_p) sum psi/(gamma*psi + 1)."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    return float(np.mean(cov.psi / (gamma * cov.psi + 1.0)))
+    psi = pilot_spectrum(pdp, n_subcarriers, delta_sub)
+    return float(np.mean(psi / (gamma * psi + 1.0)))
 
 
 def mse_map(pdp, doppler, grid: MiniSlotGrid, phi: float) -> np.ndarray:
@@ -217,9 +184,24 @@ _PHI_FIELD = {
 }
 
 
+def _window_class_map(grid: MiniSlotGrid) -> np.ndarray:
+    """class_map(grid, PA) on the first pilot window, -1 elsewhere. The
+    window is the symbols that reuse symbol 1's estimates, symbol 1
+    included: the whole slot when only symbol 1 carries pilots."""
+    return np.where(source_pilot_symbols(grid) == 1, class_map(grid, PA), -1)
+
+
+def _window_class_means(mse, grid: MiniSlotGrid) -> dict:
+    """Mean of a (..., K, T) MSE map over each PA data class of the first
+    pilot window, as ReClass -> (...) array; a class the window lacks is
+    left out."""
+    cmap = _window_class_map(grid)
+    return {c: mse[..., cmap == c].mean(axis=-1) for c in PA_CLASSES[1:] if np.any(cmap == c)}
+
+
 def average_mse(grid: MiniSlotGrid, phi: dict):
     """Average of the per-class MSEs phi (ReClass -> value) over the first
-    pilot window, symbols 1..delta_sym of class_map(grid, PA).
+    pilot window of class_map(grid, PA), the symbols that reuse symbol 1.
 
     Each of HEADLINE_PARTS weighs the MSE of its first class by the summed
     count of its classes, and the terms add in the order of the parts. A
@@ -229,10 +211,9 @@ def average_mse(grid: MiniSlotGrid, phi: dict):
     first window stands for both. The values may be arrays, as
     measure_mse's per-realization class means are.
     """
-    if grid.pattern is None:
-        raise ValueError("average_mse needs a pilot pattern")
-    counts = class_counts(grid, PA, grid.pattern.delta_sym)
-    terms = [(sum(counts[c] for c in part), part[0]) for part in HEADLINE_PARTS]
+    cmap = _window_class_map(grid)
+    terms = [(sum(np.count_nonzero(cmap == c) for c in part), part[0])
+             for part in HEADLINE_PARTS]
     terms = [(n, c) for n, c in terms if n]
     return sum(n * phi[c] for n, c in terms) / sum(n for n, _ in terms)
 
@@ -242,8 +223,8 @@ class MseBreakdown:
     """Closed-form per-class MSEs and their averages.
 
     Each phi_* field is the mean of mse_map over one class on the first
-    pilot window, symbols 1..delta_sym (nan where the window has no such
-    element); phi_lmmse is the pilot-stage MSE itself. sigma_e2 is the
+    pilot window, the symbols that reuse symbol 1 (nan where the window has
+    no such element); phi_lmmse is the pilot-stage MSE itself. sigma_e2 is the
     headline average of average_mse (edge classes folded into the
     interpolation components); sigma_e2_grid is the map's mean over all
     K*T elements, pilots included.
@@ -264,17 +245,12 @@ def channel_estimation_mse(pdp, doppler, grid: MiniSlotGrid, gamma: float) -> Ms
     pattern = grid.pattern
     if pattern is None:
         raise ValueError("channel estimation needs a pilot pattern")
-    phi = phi_lmmse(pilot_covariance(pdp, grid.n_subcarriers, pattern.delta_sub), gamma)
+    phi = phi_lmmse(pdp, grid.n_subcarriers, pattern.delta_sub, gamma)
     mse = mse_map(pdp, doppler, grid, phi)
-    first = mse[:, :pattern.delta_sym]
-    cmap = class_map(grid, PA)[:, :pattern.delta_sym]
-    by_class = {
-        c: float(first[cmap == c].mean()) if np.any(cmap == c) else np.nan
-        for c in PA_CLASSES[1:]
-    }
+    by_class = {c: float(v) for c, v in _window_class_means(mse, grid).items()}
     by_class[ReClass.PILOT] = phi
     return MseBreakdown(
-        **{_PHI_FIELD[c]: v for c, v in by_class.items()},
+        **{name: by_class.get(c, np.nan) for c, name in _PHI_FIELD.items()},
         sigma_e2=float(average_mse(grid, by_class)),
         sigma_e2_grid=float(mse.mean()),
     )
@@ -305,8 +281,9 @@ def effective_snr(sigma_e2: float, sigma_w2: float) -> float:
 class MseMeasurement:
     """Empirical per-class MSE means with standard errors.
 
-    sigma_e2 recombines the class means with average_mse's headline parts
-    and weights; sigma_e2_grid is the straight average over all K*T grid
+    The class means cover the first pilot window, as MseBreakdown's do.
+    sigma_e2 recombines them with average_mse's headline parts and
+    weights; sigma_e2_grid is the straight average over all K*T grid
     positions (the true geometry, edge classes included).
     """
 
@@ -330,6 +307,10 @@ class MseMeasurement:
     error_model: str
 
 
+# realizations drawn per batch in measure_mse, which bounds its memory
+_MSE_CHUNK = 10_000
+
+
 def measure_mse(
     pdp,
     doppler,
@@ -338,7 +319,6 @@ def measure_mse(
     n_realizations: int,
     seed,
     error_model: str = "matched",
-    chunk: int = 10_000,
 ) -> MseMeasurement:
     """Monte Carlo MSE per resource-element class of class_map(grid, PA).
 
@@ -349,20 +329,22 @@ def measure_mse(
     phi_lmmse (the closed forms' premise), 'estimator' feeds the honest
     LMMSE estimates through instead.
 
-    Each class is averaged per realization, then across realizations, which
-    gives clean independent-sample standard errors.
+    Each data class is averaged per realization over the first pilot window,
+    as channel_estimation_mse reduces mse_map, then across realizations,
+    which gives clean independent-sample standard errors; n_realizations
+    must be at least 2.
     """
     if error_model not in ("matched", "estimator"):
         raise ValueError("error_model must be 'matched' or 'estimator'")
+    if n_realizations < 2:
+        raise ValueError("n_realizations must be >= 2 for a standard error")
     pattern = grid.pattern
     if pattern is None:
         raise ValueError("measure_mse needs a pilot pattern")
     K, T = grid.n_subcarriers, grid.n_symbols
     delta = pattern.delta_sub
     pilots = list(pattern.pilot_symbols)
-    cov = pilot_covariance(pdp, K, delta)
-    phi = phi_lmmse(cov, gamma)
-    filt = _lmmse_filter(cov, gamma)
+    phi = phi_lmmse(pdp, K, delta, gamma)
     rng = as_rng(seed)
 
     cmap = class_map(grid, PA)
@@ -370,14 +352,13 @@ def measure_mse(
     lam = pilot_k.size
     source = source_pilot_symbols(grid)
 
-    # the data classes this grid has; the pilot class is measured on the
-    # LMMSE stage itself, not on the interpolated grid
-    masks = {c: cmap == c for c in PA_CLASSES[1:] if np.any(cmap == c)}
-    per_class = {c: [] for c in (ReClass.PILOT, *masks)}
+    # the pilot class is measured on the LMMSE stage itself, not on the
+    # interpolated grid
+    per_class = {ReClass.PILOT: []}
     grid_avg = []
     done = 0
     while done < n_realizations:
-        n = min(chunk, n_realizations - done)
+        n = min(_MSE_CHUNK, n_realizations - done)
         H, _ = sample_channel_grids(pdp, doppler, K, T, n, rng)
         # honest pilot estimation at each pilot symbol
         err_l = []
@@ -387,7 +368,7 @@ def measure_mse(
             noise = (
                 rng.standard_normal((n, lam)) + 1j * rng.standard_normal((n, lam))
             ) * np.sqrt(0.5 / gamma)
-            h_lmmse = (h_p + noise) @ filt.T
+            h_lmmse = lmmse_estimate(h_p + noise, pdp, delta, gamma)
             err_l.append(np.abs(h_lmmse - h_p) ** 2)
             if error_model == "matched":
                 e = (
@@ -402,16 +383,16 @@ def measure_mse(
         sq = np.empty((n, K, T))
         for t, tp in enumerate(source):
             sq[:, :, t] = np.abs(full_by_sym[tp] - H[:, :, t]) ** 2
-        for c, mask in masks.items():
-            per_class[c].append(sq[:, mask].mean(axis=1))
+        for c, v in _window_class_means(sq, grid).items():
+            per_class.setdefault(c, []).append(v)
         grid_avg.append(sq.mean(axis=(1, 2)))
         done += n
 
     def reduce(x):
         return float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size))
 
-    # per-realization class means; a class the grid lacks reads nan and
-    # average_mse skips it
+    # per-realization class means; a class the first window lacks reads nan
+    # and average_mse skips it
     means = {c: np.concatenate(v) for c, v in per_class.items()}
     fields = {}
     for c, name in _PHI_FIELD.items():

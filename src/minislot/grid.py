@@ -5,9 +5,10 @@ pilot-assisted scheme places all-ones pilots on one or two pilot-carrying
 symbols at every delta_sub-th subcarrier starting from k = 0; differential
 schemes carry a reference column/row instead of pilots. Every other symbol
 reuses the estimates of its nearest preceding pilot symbol
-(source_pilot_symbols). class_map is the one definition of that geometry: its
-classes partition the K x T grid, and their counts drive the data-symbol
-accounting and the estimation-MSE averages in chanest.
+(source_pilot_symbols); the symbols that reuse one pilot symbol form its
+pilot window. class_map is the one definition of that geometry: its classes
+partition the K x T grid, and their counts drive the data-symbol accounting
+and, on the first pilot window, the estimation-MSE averages in chanest.
 """
 
 from __future__ import annotations
@@ -60,23 +61,20 @@ class ReClass(enum.IntEnum):
 
 @dataclass(frozen=True)
 class PilotPattern:
-    """Pilot geometry: pilot-carrying symbols (1-based), spacings.
-
-    delta_sym is the inter-pilot-symbol interval: T when a single symbol
-    carries pilots, the gap between the two pilot symbols otherwise.
+    """Pilot geometry: the pilot-carrying symbols (1-based) and the pilot
+    subcarrier spacing delta_sub. Every other symbol reuses its nearest
+    preceding pilot symbol (source_pilot_symbols), which also fixes the pilot
+    windows: the first is the symbols that reuse symbol 1.
     """
 
     pilot_symbols: tuple
     delta_sub: int
-    delta_sym: int
 
     def __post_init__(self):
         if len(self.pilot_symbols) < 1:
             raise ValueError("need at least one pilot-carrying symbol")
         if self.delta_sub < 1:
             raise ValueError("delta_sub must be >= 1")
-        if self.delta_sym < 1:
-            raise ValueError("delta_sym must be >= 1")
         object.__setattr__(self, "pilot_symbols", tuple(sorted(self.pilot_symbols)))
 
 
@@ -117,8 +115,8 @@ def standard_pattern(n_symbols: int, high_mobility: bool, delta_sub: int) -> Pil
     if n_symbols not in MINI_SLOT_LENGTHS:
         raise ValueError(f"mini-slot length must be one of {MINI_SLOT_LENGTHS}")
     if n_symbols == 7 and high_mobility:
-        return PilotPattern(pilot_symbols=(1, 5), delta_sub=delta_sub, delta_sym=4)
-    return PilotPattern(pilot_symbols=(1,), delta_sub=delta_sub, delta_sym=n_symbols)
+        return PilotPattern(pilot_symbols=(1, 5), delta_sub=delta_sub)
+    return PilotPattern(pilot_symbols=(1,), delta_sub=delta_sub)
 
 
 # PA class of an element by (symbol role, subcarrier role): symbols carry
@@ -173,11 +171,10 @@ def class_map(grid: MiniSlotGrid, scheme: str) -> np.ndarray:
     return _PA_CLASSES[t_role[None, :], k_role[:, None]]
 
 
-def class_counts(grid: MiniSlotGrid, scheme: str, n_symbols: int | None = None) -> list:
-    """Resource elements per class on symbols 1..n_symbols (all by default):
-    a list of ints indexed by ReClass."""
-    cmap = class_map(grid, scheme)[:, :n_symbols]
-    return np.bincount(cmap.ravel(), minlength=len(ReClass)).tolist()
+def class_counts(grid: MiniSlotGrid, scheme: str) -> list:
+    """Resource elements per class over the whole grid: a list of ints
+    indexed by ReClass."""
+    return np.bincount(class_map(grid, scheme).ravel(), minlength=len(ReClass)).tolist()
 
 
 def data_symbol_count(grid: MiniSlotGrid, scheme: str) -> int:

@@ -59,6 +59,15 @@ def rho_f_direct(delta_k, taps, n_subcarriers):
     return acc
 
 
+def pilot_covariance_direct(pdp, n_subcarriers, delta_sub):
+    """Channel autocorrelation at the K / delta_sub pilot subcarriers by its
+    definition, R[i, j] = rho_f((i - j) delta_sub), each lag a direct sum."""
+    lam = n_subcarriers // delta_sub
+    rho = np.array([rho_f_direct(d * delta_sub, pdp.taps, n_subcarriers)
+                    for d in range(1 - lam, lam)])
+    return rho[np.arange(lam)[:, None] - np.arange(lam)[None, :] + lam - 1]
+
+
 def lmmse_mse_direct(R, gamma):
     """Per-pilot LMMSE error variance tr(R - R (R + I/g)^-1 R) / n."""
     n = R.shape[0]
@@ -69,9 +78,10 @@ def lmmse_mse_direct(R, gamma):
 # ---------------------------------------------------------------------------
 # Hand-expanded closed-form MSE per resource-element class
 # ---------------------------------------------------------------------------
-# Each class's MSE averaged over one pilot window of delta_sym symbols, with
-# the sums over subcarrier offsets kd = 1..delta-1 and reuse lags
-# dt = 1..delta_sym-1 expanded by hand (white pilot errors of variance phi).
+# Each class's MSE averaged over one pilot window of delta_sym symbols (the
+# pilot symbol and the delta_sym - 1 symbols that reuse it), with the sums
+# over subcarrier offsets kd = 1..delta-1 and reuse lags dt = 1..delta_sym-1
+# expanded by hand (white pilot errors of variance phi).
 # Degenerate geometries fall back to the class that remains.
 
 def _re_rho_f(pdp, n_subcarriers, lags):

@@ -17,69 +17,77 @@ from minislot.chanest import (
     measure_mse,
     mse_map,
     phi_lmmse,
-    pilot_covariance,
+    pilot_spectrum,
 )
 from minislot.grid import PA, MiniSlotGrid, PilotPattern, ReClass, class_map, standard_pattern
 
 import oracles
-from oracles import lmmse_mse_direct
+from oracles import lmmse_mse_direct, pilot_covariance_direct
 
 
 def test_pilot_covariance_structure():
     pdp = exponential_pdp(5, 1.0)
-    cov = pilot_covariance(pdp, 64, 2)
-    R = cov.R
+    R = pilot_covariance_direct(pdp, 64, 2)
+    psi = pilot_spectrum(pdp, 64, 2)
     assert R.shape == (32, 32)
     assert np.allclose(np.diag(R), 1.0)
     assert np.allclose(R, R.conj().T)
     # Toeplitz: constant along diagonals
     assert np.allclose(R[1:, 1:], R[:-1, :-1])
-    assert np.all(cov.psi >= 0.0)
-    assert cov.psi.sum() == pytest.approx(32.0, rel=1e-10)
+    assert np.all(psi >= 0.0)
+    assert psi.sum() == pytest.approx(32.0, rel=1e-10)
 
 
 def test_pilot_spectrum_matches_eigensolve():
     """psi, lambda_p times the tap powers aliased modulo lambda_p, is the
-    spectrum of the circulant R, also where L > lambda_p folds taps."""
+    spectrum of the circulant R, also where L > lambda_p folds taps; the
+    per-bin gain on psi is the filter R (R + I/gamma)^{-1}, entry by entry
+    (x = I, the unit vectors, so the oracle's own inversion error at
+    lambda_p = 256 is not summed over a random x)."""
     for (n_taps, decay), K, delta in itertools.product(
         ((5, 1.0), (40, 0.1)), (16, 64, 256), (1, 2, 4, 8)
     ):
-        cov = pilot_covariance(exponential_pdp(n_taps, decay), K, delta)
-        want = np.linalg.eigvalsh(cov.R)
-        assert np.max(np.abs(np.sort(cov.psi) - want)) <= 1e-12, (n_taps, K, delta)
+        pdp = exponential_pdp(n_taps, decay)
+        R = pilot_covariance_direct(pdp, K, delta)
+        psi = pilot_spectrum(pdp, K, delta)
+        want = np.linalg.eigvalsh(R)
+        assert np.max(np.abs(np.sort(psi) - want)) <= 1e-12, (n_taps, K, delta)
+        lam = K // delta
+        x = np.eye(lam)
+        for gamma in (0.5, 4.0, 100.0):
+            A = R @ np.linalg.inv(R + np.eye(lam) / gamma)
+            got = lmmse_estimate(x, pdp, delta, gamma)
+            assert np.max(np.abs(got - x @ A.T)) <= 1e-12, (n_taps, K, delta, gamma)
 
 
 def test_pilot_covariance_rejects_bad_spacing():
     with pytest.raises(ValueError):
-        pilot_covariance(exponential_pdp(5, 1.0), 64, 3)
+        pilot_spectrum(exponential_pdp(5, 1.0), 64, 3)
 
 
 def test_phi_lmmse_matches_direct_trace():
     pdp = exponential_pdp(5, 1.0)
     for gamma in (0.5, 1.0, 10.0, 100.0):
         for delta in (1, 2, 4):
-            cov = pilot_covariance(pdp, 64, delta)
-            want = lmmse_mse_direct(cov.R, gamma)
-            assert phi_lmmse(cov, gamma) == pytest.approx(want, rel=1e-10)
+            want = lmmse_mse_direct(pilot_covariance_direct(pdp, 64, delta), gamma)
+            assert phi_lmmse(pdp, 64, delta, gamma) == pytest.approx(want, rel=1e-10)
 
 
 def test_phi_lmmse_flat_channel_closed_form():
     """Single tap: all pilots see the same h, MSE = 1/(gamma*lambda_p + 1)."""
     pdp = PowerDelayProfile(np.array([1.0]))
-    cov = pilot_covariance(pdp, 64, 2)
     for gamma in (0.25, 1.0, 4.0):
-        assert phi_lmmse(cov, gamma) == pytest.approx(
+        assert phi_lmmse(pdp, 64, 2, gamma) == pytest.approx(
             1.0 / (gamma * 32 + 1.0), rel=1e-9
         )
 
 
 def test_lmmse_estimate_batching_and_shrinkage():
     pdp = exponential_pdp(5, 1.0)
-    cov = pilot_covariance(pdp, 64, 2)
     rng = np.random.default_rng(3)
     ls = rng.standard_normal((7, 32)) + 1j * rng.standard_normal((7, 32))
-    batch = lmmse_estimate(ls, cov, gamma=2.0)
-    single = np.stack([lmmse_estimate(ls[i], cov, gamma=2.0) for i in range(7)])
+    batch = lmmse_estimate(ls, pdp, 2, gamma=2.0)
+    single = np.stack([lmmse_estimate(ls[i], pdp, 2, gamma=2.0) for i in range(7)])
     assert np.allclose(batch, single, atol=1e-14)
     # the filter is a contraction toward the channel subspace
     assert np.linalg.norm(batch) < np.linalg.norm(ls)
@@ -128,7 +136,8 @@ def test_mse_map_class_means_match_hand_formulas():
             continue
         pdp, doppler = exponential_pdp(n_taps, decay), DopplerSpec(fd)
         grid = MiniSlotGrid(K, T, standard_pattern(T, high_mobility, delta))
-        d_sym = grid.pattern.delta_sym
+        # the first window runs up to the next pilot symbol, or to the end
+        d_sym = (*grid.pattern.pilot_symbols, T + 1)[1] - 1
         br = channel_estimation_mse(pdp, doppler, grid, gamma)
         phi = br.phi_lmmse
         hand = {
@@ -168,9 +177,9 @@ def test_phi_components_no_doppler_degeneracies():
 def test_phi_components_structural_reductions():
     pdp = exponential_pdp(5, 1.0)
     doppler = DopplerSpec(0.1)
-    # no reuse symbols (delta_sym = 1): both symbols carry pilots, so their
-    # columns are equal and regions A and B are absent
-    grid = MiniSlotGrid(64, 2, PilotPattern((1, 2), 2, 1))
+    # no reuse symbols: both symbols carry pilots, so their columns are
+    # equal and regions A and B are absent
+    grid = MiniSlotGrid(64, 2, PilotPattern((1, 2), 2))
     br = channel_estimation_mse(pdp, doppler, grid, 4.0)
     mse = mse_map(pdp, doppler, grid, br.phi_lmmse)
     assert np.array_equal(mse[:, 1], mse[:, 0])
@@ -207,11 +216,11 @@ def test_average_mse_weighting():
         ReClass.PILOT: 1.0, ReClass.LINEAR_DATA: 2.0, ReClass.EDGE_DATA: 10.0,
         ReClass.REGION_A: 3.0, ReClass.REGION_B: 4.0, ReClass.EDGE_REGION_B: 20.0,
     }
-    grid = MiniSlotGrid(8, 2, PilotPattern((1,), 2, 2))
+    grid = MiniSlotGrid(8, 2, PilotPattern((1,), 2))
     # lam=4, edge folded into linear and edge B into B: (4*1 + 4*2 + 4*3 + 4*4) / 16
     assert average_mse(grid, phi) == pytest.approx(2.5)
     # delta_sub = 1 has no interpolated bins: their nan parts are skipped
-    grid1 = MiniSlotGrid(8, 2, PilotPattern((1,), 1, 2))
+    grid1 = MiniSlotGrid(8, 2, PilotPattern((1,), 1))
     absent = {**phi, ReClass.LINEAR_DATA: np.nan, ReClass.REGION_B: np.nan}
     assert average_mse(grid1, absent) == pytest.approx((8 * 1 + 8 * 3) / 16)
     # two pilot windows: the first, symbols 1..4, carries the weights
@@ -279,8 +288,7 @@ def test_measured_lmmse_matches_closed_form():
     on the closed form for both error models."""
     pdp = exponential_pdp(5, 1.0)
     grid = MiniSlotGrid(64, 4, standard_pattern(4, False, 2))
-    cov = pilot_covariance(pdp, 64, 2)
-    want = phi_lmmse(cov, 2.0)
+    want = phi_lmmse(pdp, 64, 2, 2.0)
     for model in ("matched", "estimator"):
         m = measure_mse(
             pdp, DopplerSpec(0.05), grid, 2.0, 20_000, seed=11, error_model=model
@@ -290,9 +298,9 @@ def test_measured_lmmse_matches_closed_form():
 
 
 def test_measured_matched_classes_match_formulas():
-    """The white-error Monte Carlo sits on the closed forms. Where two pilot
-    windows exist (T = 7, high mobility) only the whole-grid average is
-    comparable: the class formulas describe the first window."""
+    """The white-error Monte Carlo sits on the closed forms: class means and
+    sigma_e2 on the first pilot window, also where two windows exist (T = 7,
+    high mobility), and the whole-grid average."""
     pdp = exponential_pdp(5, 1.0)
     for T, high_mobility, fd, gamma in (
         (4, False, 0.05, 2.0),
@@ -307,8 +315,6 @@ def test_measured_matched_classes_match_formulas():
         assert m.sigma_e2_grid == pytest.approx(
             br.sigma_e2_grid, abs=4 * m.sigma_e2_grid_se
         ), (T, fd)
-        if len(grid.pattern.pilot_symbols) > 1:
-            continue
         assert m.phi_linear == pytest.approx(br.phi_linear, abs=4 * m.phi_linear_se)
         assert m.phi_a == pytest.approx(br.phi_a, abs=4 * m.phi_a_se)
         assert m.phi_b == pytest.approx(br.phi_b, abs=4 * m.phi_b_se)
@@ -336,3 +342,12 @@ def test_measure_mse_rejects_unknown_model():
     grid = MiniSlotGrid(64, 2, standard_pattern(2, False, 2))
     with pytest.raises(ValueError):
         measure_mse(pdp, DopplerSpec(0.0), grid, 1.0, 100, seed=0, error_model="x")
+
+
+def test_measure_mse_rejects_too_few_realizations():
+    """A standard error needs two realizations."""
+    pdp = exponential_pdp(5, 1.0)
+    grid = MiniSlotGrid(64, 2, standard_pattern(2, False, 2))
+    for n in (1, 0, -5):
+        with pytest.raises(ValueError, match="n_realizations"):
+            measure_mse(pdp, DopplerSpec(0.0), grid, 1.0, n, seed=0)

@@ -28,22 +28,22 @@ def make_grid(K=64, T=2, delta_sub=2, high_mobility=False):
 
 
 def test_standard_pattern_placement():
-    assert standard_pattern(2, False, 2) == PilotPattern((1,), 2, 2)
-    assert standard_pattern(4, False, 2) == PilotPattern((1,), 2, 4)
-    assert standard_pattern(7, False, 4) == PilotPattern((1,), 4, 7)
+    assert standard_pattern(2, False, 2) == PilotPattern((1,), 2)
+    assert standard_pattern(4, False, 2) == PilotPattern((1,), 2)
+    assert standard_pattern(7, False, 4) == PilotPattern((1,), 4)
     # only the 7-symbol slot grows a second pilot symbol under high mobility
-    assert standard_pattern(7, True, 2) == PilotPattern((1, 5), 2, 4)
-    assert standard_pattern(2, True, 2) == PilotPattern((1,), 2, 2)
-    assert standard_pattern(4, True, 2) == PilotPattern((1,), 2, 4)
+    assert standard_pattern(7, True, 2) == PilotPattern((1, 5), 2)
+    assert standard_pattern(2, True, 2) == PilotPattern((1,), 2)
+    assert standard_pattern(4, True, 2) == PilotPattern((1,), 2)
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
         MiniSlotGrid(64, 3)  # 3 is not a mini-slot length
     with pytest.raises(ValueError):
-        MiniSlotGrid(64, 2, PilotPattern((1,), 3, 2))  # 3 does not divide 64
+        MiniSlotGrid(64, 2, PilotPattern((1,), 3))  # 3 does not divide 64
     with pytest.raises(ValueError):
-        MiniSlotGrid(64, 2, PilotPattern((5,), 2, 2))  # symbol outside slot
+        MiniSlotGrid(64, 2, PilotPattern((5,), 2))  # symbol outside slot
     with pytest.raises(ValueError):
         class_map(make_grid(), "DPSK")
     with pytest.raises(ValueError):
@@ -104,7 +104,7 @@ def test_source_pilot_symbols():
     assert source_pilot_symbols(make_grid(64, 7, 2, high_mobility=True)).tolist() == [
         1, 1, 1, 1, 5, 5, 5]
     with pytest.raises(ValueError):
-        source_pilot_symbols(MiniSlotGrid(64, 4, PilotPattern((2,), 2, 3)))
+        source_pilot_symbols(MiniSlotGrid(64, 4, PilotPattern((2,), 2)))
     with pytest.raises(ValueError):
         source_pilot_symbols(MiniSlotGrid(64, 4))  # no pattern
 
