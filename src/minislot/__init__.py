@@ -75,6 +75,7 @@ from .fbl import (
     IvEstimate,
     ModelFidelityWarning,
     awgn_capacity_dispersion,
+    channel_fbl,
     coherent_capacity_dispersion,
     coherent_quadrature_iv,
     diff_capacity_dispersion,
@@ -82,6 +83,7 @@ from .fbl import (
     diff_transition_logpdf,
     equivalent_channel,
     fddi_correlation,
+    feasible_blocklength,
     normal_approx_bler,
     normal_approx_log_bler,
     PerUseLaw,
@@ -130,10 +132,11 @@ __all__ = [
     # fbl
     "DiffChannelParams", "EquivalentChannel", "FblResult",
     "InfeasiblePayloadError", "IvEstimate", "ModelFidelityWarning",
-    "PerUseLaw", "awgn_capacity_dispersion",
+    "PerUseLaw", "awgn_capacity_dispersion", "channel_fbl",
     "coherent_capacity_dispersion", "coherent_quadrature_iv",
     "diff_capacity_dispersion", "diff_quadrature_iv",
     "diff_transition_logpdf", "equivalent_channel", "fddi_correlation",
+    "feasible_blocklength",
     "normal_approx_bler",
     "normal_approx_log_bler",
     "sample_coherent_density", "sample_diff_density", "scheme_fbl",

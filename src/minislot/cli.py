@@ -22,11 +22,11 @@ normal approximation come from deterministic quadrature, and `sweep
 --bounds` computes the IS/DT bounds from the same quadrature law of the
 per-use information density, by FFT convolution on a lattice
 (bounds.lattice_bounds); the stderr columns hold that computation's
-deterministic error scale. FDDi rows are bit-identical across the Doppler
-sweep because their channel correlation never depends on fdTs. nSamples and
-the seed are validated and echoed in their own CSV columns, and reach
-nothing else. Sweep points run sequentially in scenario order, so output is
-deterministic byte for byte given the scenario.
+deterministic error scale. Each distinct equivalent channel is evaluated
+once per call: FDDi's never depends on fdTs, so its rows are computed once
+per gammaDb. nSamples and the seed are validated and echoed in their own
+CSV columns, and reach nothing else. Sweep points run in scenario order, so
+output is deterministic byte for byte given the scenario.
 
 Exit codes: 0 success, 1 configuration error (usage errors and an
 unwritable output file included), 2 numerical failure.
@@ -40,15 +40,17 @@ import io
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import lattice_bounds
 from ._util import db_to_lin, lin_to_db
 from .channel import DopplerSpec, exponential_pdp
 from .chanest import EstimationCollapseError
-from .fbl import DiffChannelParams, InfeasiblePayloadError, scheme_fbl
+from .fbl import (
+    DiffChannelParams, InfeasiblePayloadError, channel_fbl, equivalent_channel,
+    feasible_blocklength,
+)
 from .grid import (
     FDDI, MINI_SLOT_LENGTHS, PA, SCHEMES, TDDI, MiniSlotGrid, data_symbol_count, qam,
     standard_pattern,
@@ -288,55 +290,64 @@ def _emit(text: str, output_path):
             f"cannot write output file {output_path}: {exc.strerror or exc}") from exc
 
 
+def _evaluate(scenario: Scenario, grid, pdp, points, include_bounds: bool = False):
+    """Yield each (scheme, fdTs, gammaDb) point's FblResult, or its
+    InfeasiblePayloadError, in order. Each point builds its own channel, but
+    channel_fbl runs once per distinct (channel key, N, B) in the call; a
+    repeat copies its numbers and keeps its own sigma_e2 and gamma_hat.
+    Nothing outlives the call, and no law outlives its point."""
+    done = {}
+    for scheme, fd, gamma_db in points:
+        order = scenario.orders[scheme]
+        try:
+            n = feasible_blocklength(grid, scheme, scenario.n_info_bits, order)
+        except InfeasiblePayloadError as exc:
+            yield exc
+            continue
+        channel = equivalent_channel(
+            scheme, grid, pdp, DopplerSpec(fd), db_to_lin(gamma_db), order)
+        key = (channel.key, n, scenario.n_info_bits)
+        if key not in done:
+            done[key] = channel_fbl(channel, n, scenario.n_info_bits, include_bounds)
+        yield replace(done[key], sigma_e2=channel.sigma_e2, gamma_hat=channel.gamma_hat)
+
+
 def run_sweep(scenario: Scenario, output_path=None, include_bounds: bool = False):
     """Run the full (scheme, fdTs, gammaDb) sweep; returns CSV text.
 
-    One row per combination, schemes outermost. Bounds columns stay empty
-    unless include_bounds is set; then each row gets the IS and DT bounds of
-    its equivalent channel's quadrature law from bounds.lattice_bounds, with
-    their deterministic error scale in the stderr columns. A payload that
-    does not fit a scheme's data symbols gets an INFEASIBLE_PAYLOAD marker
-    in its epsilonNA cell and the run continues.
+    One row per combination, schemes outermost; rows with equal channels
+    are computed once. Bounds columns stay empty unless include_bounds is
+    set; then each row gets the IS and DT bounds that lattice_bounds reads
+    off the law its (I, V) came from, with their deterministic error scale
+    in the stderr columns. A payload that does not fit a scheme's data
+    symbols gets an INFEASIBLE_PAYLOAD marker in epsilonNA and the run goes on.
     """
     grid, pdp = scenario.build()
+    points = [(s, fd, g) for s in scenario.schemes
+              for g in scenario.gamma_db for fd in scenario.fd_ts]
+    rows = _evaluate(scenario, grid, pdp, points, include_bounds)
     lines = [",".join(CSV_COLUMNS)]
-    for scheme in scenario.schemes:
-        order = scenario.orders[scheme]
-        for gamma_db in scenario.gamma_db:
-            gamma = db_to_lin(gamma_db)
-            for fd in scenario.fd_ts:
-                cells = {c: "" for c in CSV_COLUMNS}
+    for (scheme, fd, gamma_db), res in zip(points, rows):
+        cells = {c: "" for c in CSV_COLUMNS}
+        cells.update(
+            scheme=scheme, K=grid.n_subcarriers, T=grid.n_symbols,
+            M=scenario.orders[scheme], fdTs=fd, gammaDb=gamma_db,
+            nSamples=scenario.n_samples, seed=scenario.seed,
+        )
+        if isinstance(res, InfeasiblePayloadError):
+            n = data_symbol_count(grid, scheme)
+            cells.update(N=n, R=scenario.n_info_bits / n, epsilonNA=INFEASIBLE_MARKER)
+        else:
+            cells.update(N=res.n, R=res.r, I=res.i, V=res.v, epsilonNA=res.epsilon)
+            if res.sigma_e2 is not None:
+                cells.update(sigmaE2=res.sigma_e2, gammaHatDb=lin_to_db(res.gamma_hat))
+            if res.bounds is not None:
+                lo, hi = res.bounds
                 cells.update(
-                    scheme=scheme, K=grid.n_subcarriers, T=grid.n_symbols,
-                    M=order, fdTs=fd, gammaDb=gamma_db,
-                    nSamples=scenario.n_samples, seed=scenario.seed,
+                    epsilonIS=lo.value, epsilonISstderr=lo.stderr,
+                    epsilonDT=hi.value, epsilonDTstderr=hi.stderr,
                 )
-                try:
-                    res = scheme_fbl(
-                        scheme, grid, pdp, DopplerSpec(fd), gamma,
-                        scenario.n_info_bits, order,
-                    )
-                except InfeasiblePayloadError:
-                    n = data_symbol_count(grid, scheme)
-                    cells.update(N=n, R=scenario.n_info_bits / n,
-                                 epsilonNA=INFEASIBLE_MARKER)
-                    lines.append(",".join(_fmt(cells[c]) for c in CSV_COLUMNS))
-                    continue
-                cells.update(N=res.n, R=res.r, I=res.i, V=res.v,
-                             epsilonNA=res.epsilon)
-                if res.sigma_e2 is not None:
-                    cells["sigmaE2"] = res.sigma_e2
-                    cells["gammaHatDb"] = lin_to_db(res.gamma_hat)
-                if include_bounds:
-                    law = res.channel.law()
-                    lo, hi = lattice_bounds(
-                        law.densities, law.weights, res.n, scenario.n_info_bits
-                    )
-                    cells.update(
-                        epsilonIS=lo.value, epsilonISstderr=lo.stderr,
-                        epsilonDT=hi.value, epsilonDTstderr=hi.stderr,
-                    )
-                lines.append(",".join(_fmt(cells[c]) for c in CSV_COLUMNS))
+        lines.append(",".join(_fmt(cells[c]) for c in CSV_COLUMNS))
     text = "\n".join(lines) + "\n"
     if output_path is not None:
         _emit(text, output_path)
@@ -380,18 +391,15 @@ def select_scheme(scenario: Scenario) -> Recommendation:
     1 dB, overhead otherwise.
     """
     fd, gamma_db = _single_point(scenario)
-    grid, pdp = scenario.build()
     gamma = db_to_lin(gamma_db)
+    points = [(s, fd, gamma_db) for s in scenario.schemes]
     results = {}
     excluded = []
-    for scheme in scenario.schemes:
-        try:
-            results[scheme] = scheme_fbl(
-                scheme, grid, pdp, DopplerSpec(fd), gamma,
-                scenario.n_info_bits, scenario.orders[scheme],
-            )
-        except InfeasiblePayloadError:
+    for (scheme, *_), res in zip(points, _evaluate(scenario, *scenario.build(), points)):
+        if isinstance(res, InfeasiblePayloadError):
             excluded.append(scheme)
+        else:
+            results[scheme] = res
     if not results:
         raise ConfigError("payload infeasible for every requested scheme")
     best_first = sorted(results, key=lambda s: (results[s].log_epsilon, _TIE_ORDER[s]))
@@ -429,29 +437,23 @@ def doppler_crossover(scenario: Scenario) -> dict:
 
     Runs the normal-approximation curves over the ascending fdTs sweep at a
     single gammaDb and compares them in ln epsilon, so orderings deep in
-    epsilon's underflow still count. No flip returns crossover None; more
-    than one flip is reported as ambiguous with every flip point listed.
+    epsilon's underflow still count; FDDi's flat curve is evaluated once.
+    No flip returns crossover None; more than one flip is reported as
+    ambiguous with every flip point listed.
     """
     if len(scenario.schemes) != 2:
         raise ConfigError("crossover needs exactly two schemes")
     if len(scenario.gamma_db) != 1:
         raise ConfigError("crossover needs a scalar gammaDb")
-    grid, pdp = scenario.build()
     gamma_db = scenario.gamma_db[0]
-    gamma = db_to_lin(gamma_db)
+    points = [(s, fd, gamma_db) for s in scenario.schemes for fd in scenario.fd_ts]
     eps = {s: [] for s in scenario.schemes}
     log_eps = {s: [] for s in scenario.schemes}
-    for scheme in scenario.schemes:
-        for fd in scenario.fd_ts:
-            try:
-                res = scheme_fbl(
-                    scheme, grid, pdp, DopplerSpec(fd), gamma,
-                    scenario.n_info_bits, scenario.orders[scheme],
-                )
-            except InfeasiblePayloadError as exc:
-                raise ConfigError(str(exc)) from exc
-            eps[scheme].append(res.epsilon)
-            log_eps[scheme].append(res.log_epsilon)
+    for (scheme, *_), res in zip(points, _evaluate(scenario, *scenario.build(), points)):
+        if isinstance(res, InfeasiblePayloadError):
+            raise ConfigError(str(res)) from res
+        eps[scheme].append(res.epsilon)
+        log_eps[scheme].append(res.log_epsilon)
     s0, s1 = scenario.schemes
     diff = np.array(log_eps[s0]) - np.array(log_eps[s1])
     signs = np.sign(diff)

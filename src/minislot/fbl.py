@@ -46,7 +46,7 @@ where epsilon underflows.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -55,6 +55,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import erfc, log_ndtr
 
 from ._util import as_rng
+from .bounds import lattice_bounds
 from .channel import freq_correlation, time_correlation
 from .chanest import channel_estimation_mse, effective_snr
 from .grid import (
@@ -88,6 +89,8 @@ __all__ = [
     "fddi_correlation",
     "tddi_correlation",
     "equivalent_channel",
+    "feasible_blocklength",
+    "channel_fbl",
     "scheme_fbl",
 ]
 
@@ -164,8 +167,8 @@ class IvEstimate:
 class FblResult:
     """Scheme-level finite-blocklength outcome at one operating point.
 
-    i_stderr and v_stderr are the quadrature's truncation estimate; channel
-    is the equivalent channel (I, V) came from, whose law() the bounds read.
+    i_stderr and v_stderr are the quadrature's truncation estimate; bounds,
+    when asked for, holds the (IS, DT) BoundEstimates of the same law.
     """
 
     scheme: str
@@ -179,7 +182,7 @@ class FblResult:
     v_stderr: float
     sigma_e2: float | None = None
     gamma_hat: float | None = None
-    channel: EquivalentChannel | None = field(default=None, compare=False)
+    bounds: tuple | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +405,15 @@ class PerUseLaw:
         return i, float(np.sum(self.weights * (self.densities - i) ** 2))
 
 
-def _quadrature_iv(law) -> IvEstimate:
+def _quadrature_iv(law):
     """(I, V) of law(Q_NODES), with |law(Q_NODES) - law(Q_NODES_COARSE)|
-    as the error scale."""
+    as the error scale, and the Q_NODES law itself for the bounds."""
     fine = law(Q_NODES)
     i, v = fine.moments()
     i_coarse, v_coarse = law(Q_NODES_COARSE).moments()
-    return IvEstimate(i=i, v=v, i_stderr=abs(i - i_coarse), v_stderr=abs(v - v_coarse),
-                      n_samples=fine.densities.size)
+    iv = IvEstimate(i=i, v=v, i_stderr=abs(i - i_coarse), v_stderr=abs(v - v_coarse),
+                    n_samples=fine.densities.size)
+    return iv, fine
 
 
 def _diff_law(params: DiffChannelParams, n_nodes: int) -> PerUseLaw:
@@ -429,7 +433,7 @@ def _diff_law(params: DiffChannelParams, n_nodes: int) -> PerUseLaw:
 
 def diff_quadrature_iv(params: DiffChannelParams) -> IvEstimate:
     """Deterministic (I, V) of the differential channel."""
-    return _quadrature_iv(lambda n_nodes: _diff_law(params, n_nodes))
+    return _quadrature_iv(lambda n_nodes: _diff_law(params, n_nodes))[0]
 
 
 def _input_classes(constellation: Constellation):
@@ -472,7 +476,7 @@ def _coherent_law(gamma_hat: float, constellation: Constellation, n_nodes: int) 
 
 def coherent_quadrature_iv(gamma_hat: float, constellation: Constellation) -> IvEstimate:
     """Deterministic (I, V) of the coherent fading channel."""
-    return _quadrature_iv(lambda n_nodes: _coherent_law(gamma_hat, constellation, n_nodes))
+    return _quadrature_iv(lambda n_nodes: _coherent_law(gamma_hat, constellation, n_nodes))[0]
 
 
 def _iv_from_samples(samples: np.ndarray) -> IvEstimate:
@@ -563,7 +567,15 @@ class EquivalentChannel:
 
     def iv(self) -> IvEstimate:
         """(I, V) of law(), with the q rule's truncation estimate."""
-        return _quadrature_iv(self.law)
+        return _quadrature_iv(self.law)[0]
+
+    @property
+    def key(self):
+        """What decides law(): the pair channel, or gamma_hat with the kind
+        and order of the alphabet (which fix psk and qam points)."""
+        if self.diff is not None:
+            return self.scheme, self.diff
+        return self.scheme, self.gamma_hat, self.constellation.kind, self.constellation.order
 
 
 def equivalent_channel(
@@ -600,22 +612,9 @@ def equivalent_channel(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def scheme_fbl(
-    scheme: str,
-    grid: MiniSlotGrid,
-    pdp,
-    doppler,
-    gamma: float,
-    n_info_bits: int,
-    order: int,
-    constellation: Constellation | None = None,
-) -> FblResult:
-    """Normal-approximation BLER of one scheme at one operating point.
-
-    (I, V) come from the deterministic quadrature of the scheme's
-    equivalent_channel, so the result is a function of the operating point
-    alone. R = B/N against the scheme's own data-symbol count.
-    """
+def feasible_blocklength(grid: MiniSlotGrid, scheme: str, n_info_bits: int, order: int) -> int:
+    """The scheme's data-symbol count N; InfeasiblePayloadError when B bits
+    need more than log2(M) bits per symbol."""
     n = data_symbol_count(grid, scheme)
     r = n_info_bits / n
     if r > np.log2(order):
@@ -623,19 +622,31 @@ def scheme_fbl(
             f"{scheme}: B={n_info_bits} over N={n} needs {r:.3f} bits/symbol "
             f"> log2(M)={np.log2(order):.3f}"
         )
-    channel = equivalent_channel(scheme, grid, pdp, doppler, gamma, order, constellation)
-    iv = channel.iv()
+    return n
+
+
+def channel_fbl(
+    channel: EquivalentChannel, n: int, n_info_bits: int, bounds: bool = False,
+) -> FblResult:
+    """Normal-approximation BLER of one equivalent channel over N uses, a
+    function of the channel alone (R = B/N); with bounds, also lattice_bounds
+    of the Q_NODES law (I, V) came from, which is then dropped."""
+    iv, law = _quadrature_iv(channel.law)
+    r = n_info_bits / n
     return FblResult(
-        scheme=scheme,
-        i=iv.i,
-        v=iv.v,
-        n=n,
-        r=float(r),
+        scheme=channel.scheme, i=iv.i, v=iv.v, n=n, r=float(r),
         epsilon=normal_approx_bler(iv.i, iv.v, n, r),
         log_epsilon=normal_approx_log_bler(iv.i, iv.v, n, r),
-        i_stderr=iv.i_stderr,
-        v_stderr=iv.v_stderr,
-        sigma_e2=channel.sigma_e2,
-        gamma_hat=channel.gamma_hat,
-        channel=channel,
+        i_stderr=iv.i_stderr, v_stderr=iv.v_stderr,
+        sigma_e2=channel.sigma_e2, gamma_hat=channel.gamma_hat,
+        bounds=lattice_bounds(law.densities, law.weights, n, n_info_bits) if bounds else None,
     )
+
+
+def scheme_fbl(scheme: str, grid: MiniSlotGrid, pdp, doppler, gamma: float, n_info_bits: int,
+               order: int, constellation: Constellation | None = None) -> FblResult:
+    """Normal-approximation BLER of one scheme at one operating point: the
+    channel_fbl of its equivalent_channel over its feasible_blocklength."""
+    n = feasible_blocklength(grid, scheme, n_info_bits, order)
+    channel = equivalent_channel(scheme, grid, pdp, doppler, gamma, order, constellation)
+    return channel_fbl(channel, n, n_info_bits)
