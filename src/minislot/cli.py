@@ -78,9 +78,9 @@ class ConfigError(ValueError):
 
 # Largest accepted K, M and |gammaDb|. The --bounds lattice grows with N (a
 # K=1024, T=7 bounds sweep takes 5-17 s and 660-770 MB); the coherent law's
-# arrays grow with M (a 64-QAM PA select peaks near 350 MB); and 2000 dB
-# overflows the differential channel's coefficients, while +-300 dB still
-# evaluates.
+# exponent array grows with M (a 64-QAM PA select peaks near 160 MB); and
+# 2000 dB overflows the differential channel's coefficients, while +-300 dB
+# still evaluates.
 K_MAX = 1024
 M_MAX = 64
 GAMMA_DB_MAX = 300.0

@@ -31,12 +31,15 @@ scheme_fbl takes (I, V) from deterministic tensor quadrature of these
 densities: each channel is rotated so that one Rayleigh factor is real (z1
 for the pair, h for the coherent link), leaving its power q ~ Exp(1),
 integrated by Gauss-Legendre in ln q plus an exact node at q = 0, times a
-2-D Gauss-Hermite rule over one CN(0, 1) variable. The weighted nodes form
-a discrete per-use law (PerUseLaw): (I, V) are its moments, and
-minislot.bounds reads the IS/DT bounds off it. equivalent_channel is the one
-map from a scheme at an operating point to that law. The quadrature carries
-its truncation estimate where Monte Carlo carries a standard error. The
-samplers and the Monte Carlo estimators stay as the reference of both.
+2-D Gauss-Hermite rule over one CN(0, 1) variable w, of which the pair
+channel keeps the half plane Im w > 0 (conj(w) maps candidate m to M - m).
+Each density reduces one real array with the M candidates on its first
+axis. The weighted nodes form a discrete per-use law (PerUseLaw): (I, V)
+are its moments, and minislot.bounds reads the IS/DT bounds off it.
+equivalent_channel is the one map from a scheme at an operating point to
+that law. The quadrature carries its truncation estimate where Monte Carlo
+carries a standard error. The samplers and the Monte Carlo estimators stay
+as the reference of both.
 
 Everything is evaluated in bits with log-sum-exp guarding. The normal
 approximation is available as epsilon and as ln epsilon, which stays finite
@@ -271,27 +274,37 @@ def _sample_pair_product(params: DiffChannelParams, n: int, rng) -> np.ndarray:
 
 
 def _density_from_exponents(ex: np.ndarray) -> np.ndarray:
-    """log2 M - log2 sum_m exp(ex[..., m]), log-sum-exp guarded, in bits."""
-    mx = ex.max(axis=-1)
-    lse = mx + np.log(np.exp(ex - mx[..., None]).sum(axis=-1))
-    return np.log2(ex.shape[-1]) - lse / LN2
+    """log2 M - log2 sum_m exp(ex[m]) in bits, log-sum-exp guarded, for the
+    M candidates on the first axis of ex. Each step is elementwise over whole
+    planes ex[m], in place, so ex (overwritten) is the one large array."""
+    mx = ex.max(axis=0)
+    ex -= mx
+    np.exp(ex, out=ex)
+    return np.log2(ex.shape[0]) - (mx + np.log(ex.sum(axis=0))) / LN2
 
 
-def _diff_density(p: np.ndarray, params: DiffChannelParams) -> np.ndarray:
-    """Differential density as a function of p = conj(z1) z2 (any shape)."""
-    order = params.order
-    phases = np.exp(-2j * np.pi * np.arange(order) / order)
-    # c*(F_m - F_0) = 2c (Re(p e^{-j dphi_m}) - Re(p))
-    ex = 2.0 * params.quad_coeff * (np.real(p[..., None] * phases) - np.real(p)[..., None])
+def _diff_density(re: np.ndarray, im: np.ndarray, params: DiffChannelParams) -> np.ndarray:
+    """Differential density at p = conj(z1) z2 = re + j im (any shape), with
+    the sine term added plane by plane so that ex stays the one large array:
+    c (F_m - F_0) = 2c (Re(p e^{-j dphi_m}) - Re p)
+                  = 2c ((cos dphi_m - 1) Re p + sin dphi_m Im p).
+    """
+    dphi = 2.0 * np.pi * np.arange(params.order) / params.order
+    two_c = 2.0 * params.quad_coeff
+    ex = np.multiply.outer(two_c * (np.cos(dphi) - 1.0), re)
+    for ex_m, sin_m in zip(ex, two_c * np.sin(dphi)):
+        ex_m += sin_m * im
     return _density_from_exponents(ex)
 
 
-def _coherent_density(gamma_hat: float, h2, hw, d) -> np.ndarray:
-    """Coherent density from |h|^2, conj(w) h and the differences D = x_j - x_i
-    (candidates on the last axis of d)."""
-    ex = -gamma_hat * h2[..., None] * np.abs(d) ** 2 - 2.0 * np.sqrt(gamma_hat) * np.real(
-        hw[..., None] * d
-    )
+def _coherent_density(gamma_hat: float, q, w, d) -> np.ndarray:
+    """Coherent density at fading power q = |h|^2 and noise w in the frame
+    where h is real, from -gamma_hat q |D|^2 - 2 sqrt(gamma_hat q) Re(conj(w) D)
+    with D = x_j - x_i, candidates x_i on the first axis of d (all broadcast)."""
+    ex = d.real * w.real
+    ex += d.imag * w.imag
+    ex = ex * (-2.0 * np.sqrt(gamma_hat * q))
+    ex += (-gamma_hat * np.abs(d) ** 2) * q
     return _density_from_exponents(ex)
 
 
@@ -309,7 +322,8 @@ def sample_diff_density(
     done = 0
     while done < n:
         m = min(chunk, n - done)
-        out[done : done + m] = _diff_density(_sample_pair_product(params, m, rng), params)
+        p = _sample_pair_product(params, m, rng)
+        out[done : done + m] = _diff_density(p.real, p.imag, params)
         done += m
     return out
 
@@ -323,7 +337,8 @@ def sample_coherent_density(
     Conditions on h ~ CN(0,1) (perfectly known), w ~ CN(0,1), and a uniform
     input; the mixture term for candidate x_i only needs
     |w|^2 - |w + sqrt(g) h (x_j - x_i)|^2
-      = -g |h|^2 |D|^2 - 2 sqrt(g) Re(conj(w) h D),  D = x_j - x_i.
+      = -g |h|^2 |D|^2 - 2 sqrt(g) |h| Re(conj(w e^{-j arg h}) D),
+    D = x_j - x_i.
     """
     if gamma_hat <= 0.0:
         raise ValueError("gamma_hat must be positive")
@@ -336,8 +351,9 @@ def sample_coherent_density(
         h = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * np.sqrt(0.5)
         w = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * np.sqrt(0.5)
         j = rng.integers(0, order, size=m)
-        d = pts[j][:, None] - pts[None, :]  # (m, order)
-        out[done : done + m] = _coherent_density(gamma_hat, np.abs(h) ** 2, np.conj(w) * h, d)
+        d = pts[j] - pts[:, None]  # (order, m)
+        w_h = w * np.exp(-1j * np.angle(h))
+        out[done : done + m] = _coherent_density(gamma_hat, np.abs(h) ** 2, w_h, d)
         done += m
     return out
 
@@ -421,14 +437,19 @@ def _diff_law(params: DiffChannelParams, n_nodes: int) -> PerUseLaw:
 
     With z1 rotated real, |z1|^2 = s q (s = 2 sigma^2) and
     z2 = (rho/s) z1 + e, e ~ CN(0, s - rho^2/s), so that
-    p = conj(z1) z2 = rho q + sqrt(s q) e.
+    p = conj(z1) z2 = rho q + sqrt(s q) e. Conjugating e conjugates p, which
+    maps candidate m to M - m and leaves the density as it was; so the rule
+    keeps the Gauss-Hermite half plane Im e > 0 with doubled weights.
     """
     s = 2.0 * params.sigma2
     scale = np.sqrt(s * (s - params.rho ** 2 / s))
     w, ww = _cn_rule()
+    upper = w.imag > 0.0
+    w, ww = w[upper], 2.0 * ww[upper]
     q, wq = _exp_rule(params.gamma, n_nodes)
-    p = params.rho * q[:, None] + (scale * np.sqrt(q))[:, None] * w
-    return PerUseLaw(_diff_density(p, params), wq[:, None] * ww)
+    root = (scale * np.sqrt(q))[:, None]
+    dens = _diff_density(params.rho * q[:, None] + root * w.real, root * w.imag, params)
+    return PerUseLaw(dens, wq[:, None] * ww)
 
 
 def diff_quadrature_iv(params: DiffChannelParams) -> IvEstimate:
@@ -467,11 +488,10 @@ def _coherent_law(gamma_hat: float, constellation: Constellation, n_nodes: int) 
     pts = constellation.points
     reps, probs = _input_classes(constellation)
     w, ww = _cn_rule()
-    d = reps[:, None] - pts[None, :]  # (classes, order)
+    d = reps - pts[:, None]  # (order, classes)
     q, wq = _exp_rule(gamma_hat, n_nodes)
-    hw = np.sqrt(q)[:, None, None] * np.conj(w)[None, :, None]
-    dens = _coherent_density(gamma_hat, q[:, None, None], hw, d[None, None])
-    return PerUseLaw(dens.reshape(q.size, -1), wq[:, None] * (ww[:, None] * probs).ravel())
+    dens = _coherent_density(gamma_hat, q[:, None, None], w, d[:, None, :, None])
+    return PerUseLaw(dens.reshape(q.size, -1), wq[:, None] * (probs[:, None] * ww).ravel())
 
 
 def coherent_quadrature_iv(gamma_hat: float, constellation: Constellation) -> IvEstimate:

@@ -16,6 +16,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 
+from minislot import fbl
 from minislot.channel import freq_correlation, time_correlation
 
 # ---------------------------------------------------------------------------
@@ -230,3 +231,55 @@ def quad_bpsk_iv(gamma_hat, n_laguerre=60, n_hermite=60):
     W = wq[:, None] * wxi[None, :]
     m1 = np.sum(W * idens)
     return float(m1), float(np.sum(W * (idens - m1) ** 2))
+
+
+# ---------------------------------------------------------------------------
+# The per-use law kernel as first written: complex arithmetic, candidates on
+# the trailing axis, the full 20 x 20 Gauss-Hermite plane for the pair
+# channel. The package's kernel must reproduce its laws to rounding.
+# ---------------------------------------------------------------------------
+
+def _density_from_exponents_direct(ex):
+    """log2 M - log2 sum_m exp(ex[..., m]), log-sum-exp guarded, in bits."""
+    mx = ex.max(axis=-1)
+    lse = mx + np.log(np.exp(ex - mx[..., None]).sum(axis=-1))
+    return np.log2(ex.shape[-1]) - lse / np.log(2.0)
+
+
+def diff_law_direct(params, n_nodes):
+    """Per-use law of the differential channel over the full CN plane.
+
+    With z1 rotated real, |z1|^2 = s q (s = 2 sigma^2) and
+    z2 = (rho/s) z1 + e, e ~ CN(0, s - rho^2/s), so that
+    p = conj(z1) z2 = rho q + sqrt(s q) e.
+    """
+    s = 2.0 * params.sigma2
+    scale = np.sqrt(s * (s - params.rho ** 2 / s))
+    w, ww = fbl._cn_rule()
+    q, wq = fbl._exp_rule(params.gamma, n_nodes)
+    p = params.rho * q[:, None] + (scale * np.sqrt(q))[:, None] * w
+    order = params.order
+    phases = np.exp(-2j * np.pi * np.arange(order) / order)
+    # c*(F_m - F_0) = 2c (Re(p e^{-j dphi_m}) - Re(p))
+    ex = 2.0 * params.quad_coeff * (np.real(p[..., None] * phases) - np.real(p)[..., None])
+    return fbl.PerUseLaw(_density_from_exponents_direct(ex), wq[:, None] * ww)
+
+
+def coherent_law_direct(gamma_hat, constellation, n_nodes):
+    """Per-use law of the coherent fading channel.
+
+    With h rotated real, |h|^2 = q and conj(w) h = sqrt(q) conj(w); the
+    inputs enter through their symmetry classes.
+    """
+    pts = constellation.points
+    reps, probs = fbl._input_classes(constellation)
+    w, ww = fbl._cn_rule()
+    d = reps[:, None] - pts[None, :]  # (classes, order)
+    q, wq = fbl._exp_rule(gamma_hat, n_nodes)
+    hw = np.sqrt(q)[:, None, None] * np.conj(w)[None, :, None]
+    h2 = q[:, None, None]
+    ex = -gamma_hat * h2[..., None] * np.abs(d) ** 2 - 2.0 * np.sqrt(gamma_hat) * np.real(
+        hw[..., None] * d
+    )
+    dens = _density_from_exponents_direct(ex)
+    return fbl.PerUseLaw(dens.reshape(q.size, -1), wq[:, None] * (ww[:, None] * probs).ravel())

@@ -1,6 +1,7 @@
 """Information densities, capacity/dispersion, normal approximation."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,12 +9,17 @@ import pytest
 from scipy.stats import norm
 
 from minislot._util import db_to_lin
+from minislot.bounds import FFT_ROUNDOFF, lattice_bounds
 from minislot.channel import DopplerSpec, PowerDelayProfile, exponential_pdp
 from minislot.fbl import (
+    GH_NODES,
+    Q_NODES,
+    Q_NODES_COARSE,
     DiffChannelParams,
     EquivalentChannel,
     InfeasiblePayloadError,
     ModelFidelityWarning,
+    PerUseLaw,
     _iv_from_samples,
     awgn_capacity_dispersion,
     coherent_capacity_dispersion,
@@ -31,7 +37,8 @@ from minislot.fbl import (
     tddi_correlation,
 )
 from minislot.grid import (
-    FDDI, PA, TDDI, Constellation, MiniSlotGrid, psk, qam, standard_pattern,
+    FDDI, PA, TDDI, Constellation, MiniSlotGrid, default_constellation, psk, qam,
+    standard_pattern,
 )
 
 import oracles
@@ -349,22 +356,111 @@ def test_quadrature_symmetry_reduction_matches_all_inputs():
             assert a.v == pytest.approx(b.v, abs=tol), (const.kind, const.order, gamma_hat)
 
 
-@pytest.mark.parametrize("channel, frozen", [
+@pytest.mark.parametrize("channel, frozen, before", [
     (EquivalentChannel(FDDI, diff=DiffChannelParams(gamma=db_to_lin(2.0), rho=0.9949735, order=4)),
+     (0.5716512163871671, 1.0392778436398313),
      (0.5716512163871671, 1.0392778436398311)),
     (EquivalentChannel(PA, gamma_hat=10.0, constellation=qam(16)),
+     (2.593518140089126, 2.429667071009109),
      (2.593518140089126, 2.429667071009109)),
 ], ids=("differential", "16QAM"))
-def test_iv_are_the_moments_of_the_per_use_law(channel, frozen):
+def test_iv_are_the_moments_of_the_per_use_law(channel, frozen, before):
     """(I, V) are the moments of the law the bounds read, bit for bit the
-    values the quadrature gave before the law was factored out (frozen)."""
+    values of the real-arithmetic kernel (frozen), and within rounding of
+    the complex kernel's values (before)."""
     law = channel.law()
     assert law.moments() == frozen
+    assert max(abs(a - b) for a, b in zip(law.moments(), before)) <= 1e-15
     iv = channel.iv()
     assert (iv.i, iv.v) == frozen
     assert law.densities.shape == law.weights.shape
     assert law.weights.min() >= 0.0
     assert law.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+LAW_GAMMAS_DB = (-10.0, 0.0, 4.0, 10.0, 20.0, 30.0, 60.0, 300.0)
+LAW_ORDERS = (2, 4, 8, 16, 64)
+LAW_RHOS = (0.0, 0.5, 0.99, 0.999999, -0.9)
+
+
+def _law_channels(gamma_db, order):
+    """The pair channel at each of LAW_RHOS, and the coherent channel with
+    PA's default alphabet and with PSK."""
+    gamma = db_to_lin(gamma_db)
+    channels = [EquivalentChannel(FDDI, diff=DiffChannelParams(gamma=gamma, rho=rho, order=order))
+                for rho in LAW_RHOS]
+    return channels + [EquivalentChannel(PA, gamma_hat=gamma, constellation=c)
+                       for c in (default_constellation(PA, order), psk(order))]
+
+
+def _direct_law(channel, n_nodes):
+    if channel.diff is not None:
+        return oracles.diff_law_direct(channel.diff, n_nodes)
+    return oracles.coherent_law_direct(channel.gamma_hat, channel.constellation, n_nodes)
+
+
+@pytest.mark.parametrize("order", LAW_ORDERS)
+def test_law_kernel_reproduces_the_direct_kernel(order):
+    """The real-arithmetic, candidate-first kernel (on the half plane for
+    the pair channel) gives the direct kernel's laws: finite atoms, the
+    q rule's mass, the same (I, V) to rounding, and the same lattice bounds
+    to the FFT's roundoff at N = 126, B = 64 (orders up to 16, up to
+    30 dB). The mass is the rule's own: 1 within 1e-12 up to 20 dB at
+    Q_NODES, short of 1 by 1.7e-5 at 300 dB."""
+    for gamma_db in LAW_GAMMAS_DB:
+        for channel in _law_channels(gamma_db, order):
+            for n_nodes in (Q_NODES, Q_NODES_COARSE):
+                where = (gamma_db, channel.key, n_nodes)
+                law, direct = channel.law(n_nodes), _direct_law(channel, n_nodes)
+                assert np.isfinite(law.densities).all() and np.isfinite(law.weights).all(), where
+                assert abs(law.weights.sum() - direct.weights.sum()) <= 1e-12, where
+                if n_nodes == Q_NODES and gamma_db <= 20.0:
+                    assert abs(law.weights.sum() - 1.0) <= 1e-12, where
+                moved = np.subtract(law.moments(), direct.moments())
+                assert np.abs(moved).max() <= 1e-13, where
+                if n_nodes != Q_NODES or order > 16 or gamma_db > 30.0:
+                    continue
+                for got, want in zip(lattice_bounds(law.densities, law.weights, 126, 64),
+                                     lattice_bounds(direct.densities, direct.weights, 126, 64)):
+                    assert abs(got.value - want.value) <= FFT_ROUNDOFF, (where, got.kind)
+                    assert abs(got.stderr - want.stderr) <= FFT_ROUNDOFF, (where, got.kind)
+
+
+def test_pair_law_is_symmetric_under_conjugate_noise():
+    """The identity the half-plane rule rests on: on the direct kernel's
+    full Gauss-Hermite plane, the pair channel's density at conj(w) is its
+    density at w, and the half plane with doubled weights has the full
+    plane's (I, V). Atoms agree to the rounding of the direct kernel's
+    exponents, which reach 9e4 at 64-PSK, rho = 0.999999, 30 dB (5e-12
+    apart there)."""
+    for gamma_db, order, rho in itertools.product(LAW_GAMMAS_DB, LAW_ORDERS, LAW_RHOS):
+        where = (gamma_db, order, rho)
+        full = oracles.diff_law_direct(
+            DiffChannelParams(gamma=db_to_lin(gamma_db), rho=rho, order=order), Q_NODES)
+        dens = full.densities.reshape(-1, GH_NODES, GH_NODES)  # (q, Re w, Im w)
+        assert np.abs(dens - dens[..., ::-1]).max() <= 1e-11, where
+        upper = slice(GH_NODES // 2, None)  # Im w > 0
+        half = PerUseLaw(dens[..., upper],
+                         2.0 * full.weights.reshape(dens.shape)[..., upper])
+        assert np.abs(np.subtract(half.moments(), full.moments())).max() <= 1e-13, where
+
+
+@pytest.mark.parametrize("channel", [
+    EquivalentChannel(PA, gamma_hat=10.0, constellation=qam(64)),
+    EquivalentChannel(FDDI, diff=DiffChannelParams(gamma=10.0, rho=0.99, order=64)),
+], ids=("PA-64QAM", "FDDi-64PSK"))
+def test_law_allocates_about_one_exponent_array(channel):
+    """Building a law holds one candidate-sized array of exponents at a
+    time: the traced peak stays within 1.5 times order x atoms doubles."""
+    channel.law()  # the cached quadrature rules are not the law's cost
+    tracemalloc.start()
+    try:
+        law = channel.law()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    order = channel.diff.order if channel.diff is not None else channel.constellation.order
+    assert peak <= 1.5 * order * law.densities.size * 8
 
 
 def test_scheme_fbl_reads_its_equivalent_channel():
