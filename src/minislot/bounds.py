@@ -7,7 +7,9 @@ beta; the upper (dependence-testing) bound averages
 
 lattice_bounds computes both deterministically from a discrete per-use law,
 such as the quadrature law of minislot.fbl: it bins the law onto a lattice
-and takes the law of i_N by FFT convolution. The Monte Carlo estimators
+and takes the law of i_N by FFT convolution, only on the window where
+Chernoff bounds on the binned law put all of its mass but 1e-17 on each
+side, a few standard deviations around N I. The Monte Carlo estimators
 work on sampled block densities instead and serve as its reference.
 A density sampler for them is any callable (n, rng) -> n per-use densities;
 the samplers in minislot.fbl plug in directly.
@@ -76,10 +78,14 @@ def _dt_threshold(n_info_bits: int) -> float:
 
 LATTICE_STEP = 0.01  # bits
 LATTICE_FLOOR = -20.0  # bits; per-use mass below it is the tail
-# Round-off floor of IS and DT. Against the same computation in 80-bit long
-# double, float64 was off by at most 9.9e-14, over 216 laws: PA, FDDi and
-# TDDi at M = 4 and 16, 0-30 dB, T = 2-7 (N up to 441, FFTs up to 1.06e6
-# points). The floor keeps a factor 10 above that.
+# Round-off floor of IS and DT. Against the same windowed computation in
+# 80-bit long double (numpy.fft transforms long double in long double),
+# float64 was off by at most 4.3e-13, over 240 laws at both steps and two
+# payloads each: PA, FDDi and TDDi at M = 4 and 16, 0-30 dB, K = 64 and
+# 1024, T = 2-7 (N up to 7161, FFTs up to 2.2e5 points). The error grows
+# with N: below 1.5e-13 at K = 64 (N up to 441). The floor keeps a factor
+# 2.3 above that. The full-span convolution this window replaced reached
+# 1.1e-12 in the cases checked at N = 6144-7161, on FFTs of 1.6e7 points.
 FFT_ROUNDOFF = 1e-12
 
 
@@ -111,8 +117,43 @@ def _power(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+# each side of the window leaves out at most this share of the N-fold law
+_WINDOW_EPS = 1e-17
+# tilts tried for the window's Chernoff bounds, x1/8 .. x8 of the Gaussian guess
+_TILTS = 2.0 ** np.linspace(-3.0, 3.0, 13)
+
+
+def _window(pmf, n_uses):
+    """Bins [m0, m1] of the N-fold law of pmf that hold all of it but at
+    most _WINDOW_EPS on each side.
+
+    Chernoff bounds on the binned law itself: with j the bin index, S the
+    N-fold sum in bins and Lambda(s) = ln sum_j p_j e^{s j} over the bins
+    p_j > 0 (p normalized), P[S >= b] <= exp(N Lambda(s) - s b) and
+    P[S <= a] <= exp(N Lambda(-s) + s a) for every s > 0; each side keeps
+    its narrowest edge over the tilts.
+    """
+    j = np.flatnonzero(pmf > 0.0)
+    p = pmf[j] / pmf.sum()
+    mean = p @ j
+    x = j - mean
+    log_eps = -np.log(_WINDOW_EPS)
+    # a one-bin law has no variance; the floor keeps s finite
+    sd = np.sqrt(max(p @ (x * x), np.finfo(float).tiny))
+    s = np.sqrt(2.0 * log_eps / n_uses) / sd * _TILTS
+    z = np.concatenate([s, -s])[:, None] * x
+    top = z.max(axis=1)
+    # centered Lambda(+-s) - (+-s) mean, log-sum-exp guarded
+    cgf = top + np.log(np.exp(z - top[:, None]) @ p)
+    up, down = ((n_uses * cgf + log_eps) / np.concatenate([s, s])).reshape(2, -1).min(axis=1)
+    m0 = max(int(np.floor(n_uses * mean - down)), n_uses * int(j[0]))
+    m1 = min(int(np.ceil(n_uses * mean + up)), n_uses * int(j[-1]))
+    return m0, m1
+
+
 def _lattice_bounds(d, w, n_uses, n_info_bits, step):
-    """(IS, log2 beta*, DT) of the N-fold law of (d, w) binned at `step`."""
+    """(IS clipped at 0, log2 beta*, DT) of the N-fold law of (d, w) binned
+    at `step`, read on its _window."""
     lo = step * np.floor(d.min() / step)
     u = (d - lo) / step
     k = np.floor(u).astype(np.intp)
@@ -120,15 +161,19 @@ def _lattice_bounds(d, w, n_uses, n_info_bits, step):
     size = int(k.max()) + 2
     # linear binning keeps the mass and the mean of every atom
     pmf = np.bincount(k, w * (1.0 - frac), size) + np.bincount(k + 1, w * frac, size)
-    n_out = n_uses * (size - 1) + 1
-    n_fft = _fast_size(n_out)
-    pmf = np.fft.irfft(_power(np.fft.rfft(pmf, n_fft), n_uses), n_fft)[:n_out]
-    t = n_uses * lo + step * np.arange(n_out)
+    m0, m1 = _window(pmf, n_uses)
+    m = m0 + np.arange(m1 - m0 + 1)
+    n_fft = _fast_size(max(m.size, size))
+    # the circular convolution is the N-fold law wrapped mod n_fft
+    law = np.fft.irfft(_power(np.fft.rfft(pmf, n_fft), n_uses), n_fft)[m % n_fft]
+    t = n_uses * lo + step * m
     with np.errstate(over="ignore"):
-        objective = np.cumsum(pmf) - np.exp2(t - n_info_bits)
+        objective = np.cumsum(law) - np.exp2(t - n_info_bits)
     best = int(np.argmax(objective))
-    dt = float(pmf @ np.exp2(-np.maximum(t - _dt_threshold(n_info_bits), 0.0)))
-    return float(objective[best]), float(t[best]), dt
+    # a sum, not `@`: a BLAS dot of this length wakes OpenBLAS's thread pool,
+    # which cost 5-12 ms per call on a two-core machine
+    dt = float(np.sum(law * np.exp2(-np.maximum(t - _dt_threshold(n_info_bits), 0.0))))
+    return max(float(objective[best]), 0.0), float(t[best]), dt
 
 
 def lattice_bounds(densities, weights, n_uses: int, n_info_bits: int):
@@ -140,11 +185,22 @@ def lattice_bounds(densities, weights, n_uses: int, n_info_bits: int):
     convolution, taken by FFT. IS = max over the lattice of
     P[i_N <= t] - 2^(t - B), clipped at 0; DT = E[2^-(i_N - thr)^+].
 
+    The N-fold law is computed only on a window [a, b] that Chernoff bounds
+    on the binned law place so that each side leaves out at most
+    eps = 1e-17 of it; the window is a few standard deviations of i_N wide,
+    where the whole span reaches N (log2 M - LATTICE_FLOOR) bits. The FFT
+    runs at a length L covering the window, and its circular convolution
+    is the N-fold law wrapped mod L, so the at most 2 eps outside the
+    window lands on it. The CDF misses the mass below a and gains the
+    wrapped mass, and DT loses the outside mass and gains it wrapped: each
+    moves by at most 2 eps, far inside FFT_ROUNDOFF.
+
     Per-use mass p below LATTICE_FLOOR is kept conservative: it is left out
     of the CDF for IS, and every block that holds such a use counts as an
     error in DT, adding 1 - (1 - p)^N. The `stderr` of each estimate is a
     deterministic error scale: |value at step - value at 2 step|, plus that
-    tail term, plus FFT_ROUNDOFF. DT is kept inside [FFT_ROUNDOFF, 1].
+    tail term, plus FFT_ROUNDOFF, which covers the window's 2 eps and the
+    FFT's round-off. DT is kept inside [FFT_ROUNDOFF, 1].
     n_samples counts the atoms of the law. Returns (IS, DT) BoundEstimates.
     """
     if n_uses < 1:
@@ -164,7 +220,7 @@ def lattice_bounds(densities, weights, n_uses: int, n_info_bits: int):
     )
     slack = tail + FFT_ROUNDOFF
     lower = BoundEstimate(
-        kind="IS", value=max(fine[0], 0.0), stderr=abs(fine[0] - coarse[0]) + slack,
+        kind="IS", value=fine[0], stderr=abs(fine[0] - coarse[0]) + slack,
         n_samples=d.size, log2_beta_star=fine[1],
     )
     upper = BoundEstimate(

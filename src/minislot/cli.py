@@ -76,9 +76,10 @@ class ConfigError(ValueError):
     """Scenario or flag validation failed."""
 
 
-# Largest accepted K, M and |gammaDb|. The --bounds lattice grows with N (a
-# K=1024, T=7 bounds sweep takes 5-17 s and 660-770 MB); the coherent law's
-# exponent array grows with M (a 64-QAM PA select peaks near 160 MB); and
+# Largest accepted K, M and |gammaDb|. The --bounds window grows with N (a
+# K=1024, T=7 bounds sweep takes 0.07-0.8 s and 65-160 MB, the top end at
+# M=64, where the law sets the peak); the coherent law's exponent array
+# grows with M (a 64-QAM PA select peaks near 160 MB); and
 # 2000 dB overflows the differential channel's coefficients, while +-300 dB
 # still evaluates.
 K_MAX = 1024

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 
-from minislot import fbl
+from minislot import bounds, fbl
 from minislot.channel import freq_correlation, time_correlation
 
 # ---------------------------------------------------------------------------
@@ -283,3 +283,29 @@ def coherent_law_direct(gamma_hat, constellation, n_nodes):
     )
     dens = _density_from_exponents_direct(ex)
     return fbl.PerUseLaw(dens.reshape(q.size, -1), wq[:, None] * (ww[:, None] * probs).ravel())
+
+
+# ---------------------------------------------------------------------------
+# The lattice kernel as first written: the N-fold law over its whole span
+# [N lo, N hi], one linear convolution by FFT. The package's windowed kernel
+# must reproduce its IS and DT to the FFT's roundoff.
+# ---------------------------------------------------------------------------
+
+def lattice_bounds_direct(d, w, n_uses, n_info_bits, step):
+    """(IS objective max, log2 beta*, DT) of the N-fold law of (d, w)
+    binned at `step`, convolved over the whole span. IS is not clipped."""
+    lo = step * np.floor(d.min() / step)
+    u = (d - lo) / step
+    k = np.floor(u).astype(np.intp)
+    frac = u - k
+    size = int(k.max()) + 2
+    pmf = np.bincount(k, w * (1.0 - frac), size) + np.bincount(k + 1, w * frac, size)
+    n_out = n_uses * (size - 1) + 1
+    n_fft = bounds._fast_size(n_out)
+    pmf = np.fft.irfft(bounds._power(np.fft.rfft(pmf, n_fft), n_uses), n_fft)[:n_out]
+    t = n_uses * lo + step * np.arange(n_out)
+    with np.errstate(over="ignore"):
+        objective = np.cumsum(pmf) - np.exp2(t - n_info_bits)
+    best = int(np.argmax(objective))
+    dt = float(pmf @ np.exp2(-np.maximum(t - bounds._dt_threshold(n_info_bits), 0.0)))
+    return float(objective[best]), float(t[best]), dt

@@ -2,25 +2,36 @@
 deterministic lattice bounds and their Monte Carlo reference."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
+import oracles
 from minislot.bounds import (
     FFT_ROUNDOFF,
+    LATTICE_FLOOR,
+    LATTICE_STEP,
     block_density_samples,
     dt_upper_bound,
     is_lower_bound,
     lattice_bounds,
     _dt_threshold,
+    _fast_size,
+    _lattice_bounds,
+    _window,
 )
+from minislot.channel import DopplerSpec, exponential_pdp
 from minislot.fbl import (
     DiffChannelParams,
     EquivalentChannel,
+    equivalent_channel,
     sample_coherent_density,
     sample_diff_density,
 )
-from minislot.grid import FDDI, PA, psk
+from minislot.grid import FDDI, PA, TDDI, MiniSlotGrid, psk, standard_pattern
 
 
 def _counting_sampler(n, rng):
@@ -178,24 +189,26 @@ def test_bound_input_validation():
 
 def _two_atom_block_law(n_uses, low, high, p_high):
     """Exact law of i_N when each use is `high` w.p. p_high, else `low`:
-    support ascending in the binomial count of high uses."""
+    support ascending in the binomial count of high uses, the binomial pmf
+    taken in log arithmetic."""
     j = np.arange(n_uses + 1)
-    pmf = np.array([math.comb(n_uses, k) for k in j]) * p_high ** j * (1 - p_high) ** (n_uses - j)
-    return low * (n_uses - j) + high * j, pmf
+    return low * (n_uses - j) + high * j, np.exp(binom.logpmf(j, n_uses, p_high))
 
 
-@pytest.mark.parametrize("n_uses, b", ((20, 8), (20, 12), (30, 10)))
+@pytest.mark.parametrize("n_uses, b", ((20, 8), (20, 12), (30, 10), (2000, 850)))
 def test_lattice_bounds_two_atom_law_is_binomial(n_uses, b):
     """Atoms on the lattice bin exactly, so the FFT law of i_N is the
-    binomial law and IS and DT take their exact values."""
+    binomial law and IS and DT take their exact values. At N = 2000 the
+    window lies inside the span (see the next test)."""
     t, pmf = _two_atom_block_law(n_uses, -2.0, 1.5, 0.7)
-    exact_is = max(0.0, float(np.max(np.cumsum(pmf) - np.exp2(t - b))))
+    with np.errstate(over="ignore"):
+        exact_is = max(0.0, float(np.max(np.cumsum(pmf) - np.exp2(t - b))))
     exact_dt = float(pmf @ np.exp2(-np.maximum(t - _dt_threshold(b), 0.0)))
     lo, hi = lattice_bounds([-2.0, 1.5], [0.3, 0.7], n_uses, b)
     assert 0.1 < exact_is < exact_dt < 1.0
     assert (lo.kind, hi.kind) == ("IS", "DT")
-    assert abs(lo.value - exact_is) <= lo.stderr <= 2 * FFT_ROUNDOFF
-    assert abs(hi.value - exact_dt) <= hi.stderr <= 2 * FFT_ROUNDOFF
+    assert abs(lo.value - exact_is) <= FFT_ROUNDOFF <= lo.stderr <= 2 * FFT_ROUNDOFF
+    assert abs(hi.value - exact_dt) <= FFT_ROUNDOFF <= hi.stderr <= 2 * FFT_ROUNDOFF
     assert lo.log2_beta_star in t
     assert lo.n_samples == hi.n_samples == 2
 
@@ -211,6 +224,30 @@ def test_lattice_bounds_tail_below_floor_is_conservative():
     want = p_in * 2.0 ** -(10 - _dt_threshold(4)) + (1 - p_in)
     assert hi.value == pytest.approx(want, abs=1e-12)
     assert hi.stderr >= 1 - p_in
+
+
+def test_two_atom_window_lies_inside_the_span_at_large_n():
+    """At N = 2000 the two-atom law's window lies strictly inside its span
+    and reaches past the FFT length, so the binomial case above reads the
+    N-fold law at an offset m0 > 0, wrapped mod that length."""
+    pmf = np.zeros(352)  # the kernel's binning: -2.0 and 1.5 sit on bins 0 and 350
+    pmf[[0, 350]] = 0.3, 0.7
+    m0, m1 = _window(pmf, 2000)
+    assert 0 < m0 < m1 < 2000 * 350
+    assert m1 >= _fast_size(m1 - m0 + 1)
+
+
+def test_lattice_bounds_single_atom_far_above_payload():
+    """One atom is a zero-variance law with an empty lattice bin, and at
+    N = 1000 its window sits 1990 bits above B, where every IS objective
+    overflows to -inf: IS reads 0 and DT the floor, with finite error
+    scales and no floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = lattice_bounds([2.0], [1.0], 1000, 10)
+    assert lo.value == 0.0
+    assert hi.value == FFT_ROUNDOFF
+    assert all(math.isfinite(x) for x in (lo.stderr, hi.stderr, lo.log2_beta_star))
 
 
 def test_lattice_bounds_floor_and_clip():
@@ -252,3 +289,58 @@ def test_lattice_bounds_agree_with_monte_carlo(channel, sampler, b):
     assert 1e-3 < lo.value < hi.value < 0.9
     assert abs(lo.value - mc_lo.value) <= 3 * mc_lo.stderr + lo.stderr, (lo, mc_lo)
     assert abs(hi.value - mc_hi.value) <= 3 * mc_hi.stderr + hi.stderr, (hi, mc_hi)
+
+
+def _inside_law(scheme, order, gamma_db):
+    """The scheme's quadrature law on the default grid (K = 64, T = 2,
+    fdTs 0.05), normalized, atoms below LATTICE_FLOOR dropped, with its I."""
+    grid = MiniSlotGrid(64, 2, standard_pattern(2, False, 2))
+    law = equivalent_channel(scheme, grid, exponential_pdp(5, 1.0), DopplerSpec(0.05),
+                             10.0 ** (gamma_db / 10.0), order).law()
+    d, w = law.densities.ravel(), law.weights.ravel() / law.weights.sum()
+    inside = d >= LATTICE_FLOOR
+    return d[inside], w[inside], float(w @ d)
+
+
+def _assert_kernel_matches_oracle(d, w, n_uses, b, where):
+    for step in (LATTICE_STEP, 2.0 * LATTICE_STEP):
+        got = _lattice_bounds(d, w, n_uses, b, step)
+        want = oracles.lattice_bounds_direct(d, w, n_uses, b, step)
+        assert abs(got[0] - max(want[0], 0.0)) <= FFT_ROUNDOFF, (where, step, got, want)
+        assert abs(got[2] - want[2]) <= FFT_ROUNDOFF, (where, step, got, want)
+
+
+@pytest.mark.parametrize("scheme", (PA, FDDI, TDDI))
+def test_windowed_kernel_matches_full_span_oracle(scheme):
+    """The windowed N-fold law gives the full-span kernel's IS and DT to
+    the FFT's roundoff, at both lattice steps, over orders 2-16, -5 to
+    30 dB, N = 24 and 126, and payloads from trivial to near N I."""
+    for order in (2, 4, 16):
+        for gamma_db in (-5.0, 10.0, 30.0):
+            d, w, info = _inside_law(scheme, order, gamma_db)
+            for n_uses in (24, 126):
+                for b in sorted({8, 256, max(1, round(0.9 * n_uses * info))}):
+                    _assert_kernel_matches_oracle(d, w, n_uses, b, (order, gamma_db, n_uses, b))
+
+
+@pytest.mark.parametrize("scheme, order, gamma_db", ((FDDI, 16, 10.0), (PA, 4, 0.0)))
+def test_windowed_kernel_matches_full_span_oracle_at_large_n(scheme, order, gamma_db):
+    """The same agreement at N = 1785 (K = 256, T = 7), with the payload
+    at 0.9 N I where both bounds are far from 0 and 1."""
+    d, w, info = _inside_law(scheme, order, gamma_db)
+    _assert_kernel_matches_oracle(d, w, 1785, round(0.9 * 1785 * info), None)
+
+
+def test_lattice_bounds_memory_stays_with_the_window():
+    """At FDDi's N = 7161 (K = 1024, T = 7) the full span holds 1.7e7 bins
+    and the full-span kernel needs hundreds of MB; the window keeps the
+    traced peak under 50 MB."""
+    law = DIFF_CHANNEL.law()
+    tracemalloc.start()
+    try:
+        lo, hi = lattice_bounds(law.densities, law.weights, 7161, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6, peak
+    assert 0.0 < lo.value < hi.value < 1.0
