@@ -141,10 +141,13 @@ def _window(pmf, n_uses):
     # a one-bin law has no variance; the floor keeps s finite
     sd = np.sqrt(max(p @ (x * x), np.finfo(float).tiny))
     s = np.sqrt(2.0 * log_eps / n_uses) / sd * _TILTS
-    z = np.concatenate([s, -s])[:, None] * x
+    # the one (tilts x bins) array, exponentiated in place
+    z = np.multiply.outer(np.concatenate([s, -s]), x)
     top = z.max(axis=1)
+    z -= top[:, None]
+    np.exp(z, out=z)
     # centered Lambda(+-s) - (+-s) mean, log-sum-exp guarded
-    cgf = top + np.log(np.exp(z - top[:, None]) @ p)
+    cgf = top + np.log(z @ p)
     up, down = ((n_uses * cgf + log_eps) / np.concatenate([s, s])).reshape(2, -1).min(axis=1)
     m0 = max(int(np.floor(n_uses * mean - down)), n_uses * int(j[0]))
     m1 = min(int(np.ceil(n_uses * mean + up)), n_uses * int(j[-1]))
@@ -155,12 +158,18 @@ def _lattice_bounds(d, w, n_uses, n_info_bits, step):
     """(IS clipped at 0, log2 beta*, DT) of the N-fold law of (d, w) binned
     at `step`, read on its _window."""
     lo = step * np.floor(d.min() / step)
-    u = (d - lo) / step
+    u = d - lo
+    u /= step
     k = np.floor(u).astype(np.intp)
-    frac = u - k
+    u -= k  # the fraction of each atom's mass that goes to bin k + 1
     size = int(k.max()) + 2
     # linear binning keeps the mass and the mean of every atom
-    pmf = np.bincount(k, w * (1.0 - frac), size) + np.bincount(k + 1, w * frac, size)
+    upper = w * u
+    np.subtract(1.0, u, out=u)
+    u *= w
+    pmf = np.bincount(k, u, size)
+    k += 1
+    pmf += np.bincount(k, upper, size)
     m0, m1 = _window(pmf, n_uses)
     m = m0 + np.arange(m1 - m0 + 1)
     n_fft = _fast_size(max(m.size, size))
@@ -212,20 +221,23 @@ def lattice_bounds(densities, weights, n_uses: int, n_info_bits: int):
     if d.shape != w.shape or np.any(w < 0.0) or not w.sum() > 0.0:
         raise ValueError("need one nonnegative weight per density, not all zero")
     w = w / w.sum()
+    n_atoms = d.size
     inside = d >= LATTICE_FLOOR
     tail = float(-np.expm1(n_uses * np.log1p(-w[~inside].sum())))
+    if not inside.all():
+        d, w = d[inside], w[inside]
     fine, coarse = (
-        _lattice_bounds(d[inside], w[inside], n_uses, n_info_bits, step)
+        _lattice_bounds(d, w, n_uses, n_info_bits, step)
         for step in (LATTICE_STEP, 2.0 * LATTICE_STEP)
     )
     slack = tail + FFT_ROUNDOFF
     lower = BoundEstimate(
         kind="IS", value=fine[0], stderr=abs(fine[0] - coarse[0]) + slack,
-        n_samples=d.size, log2_beta_star=fine[1],
+        n_samples=n_atoms, log2_beta_star=fine[1],
     )
     upper = BoundEstimate(
         kind="DT", value=min(max(fine[2] + tail, FFT_ROUNDOFF), 1.0),
-        stderr=abs(fine[2] - coarse[2]) + slack, n_samples=d.size,
+        stderr=abs(fine[2] - coarse[2]) + slack, n_samples=n_atoms,
     )
     return lower, upper
 

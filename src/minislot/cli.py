@@ -77,11 +77,11 @@ class ConfigError(ValueError):
 
 
 # Largest accepted K, M and |gammaDb|. The --bounds window grows with N (a
-# K=1024, T=7 bounds sweep takes 0.07-0.8 s and 65-160 MB, the top end at
-# M=64, where the law sets the peak); the coherent law's exponent array
-# grows with M (a 64-QAM PA select peaks near 160 MB); and
-# 2000 dB overflows the differential channel's coefficients, while +-300 dB
-# still evaluates.
+# K=1024, T=7 bounds sweep takes 0.08-0.25 s and 65-80 MB, the top end at
+# M=64); the pair law's exponent array grows with M (an M=64 select, 64-QAM
+# PA against 64-PSK FDDi and TDDi, takes 0.03 s and peaks near 65 MB; square
+# QAM's law holds no M-sized array); and 2000 dB overflows the differential
+# channel's coefficients, while +-300 dB still evaluates.
 K_MAX = 1024
 M_MAX = 64
 GAMMA_DB_MAX = 300.0

@@ -34,12 +34,16 @@ integrated by Gauss-Legendre in ln q plus an exact node at q = 0, times a
 2-D Gauss-Hermite rule over one CN(0, 1) variable w, of which the pair
 channel keeps the half plane Im w > 0 (conj(w) maps candidate m to M - m).
 Each density reduces one real array with the M candidates on its first
-axis. The weighted nodes form a discrete per-use law (PerUseLaw): (I, V)
-are its moments, and minislot.bounds reads the IS/DT bounds off it.
-equivalent_channel is the one map from a scheme at an operating point to
-that law. The quadrature carries its truncation estimate where Monte Carlo
-carries a standard error. The samplers and the Monte Carlo estimators stay
-as the reference of both.
+axis. Square QAM is the exception: its coherent exponent splits into a
+real-axis and an imaginary-axis term, so its density is the sum of two
+sqrt(M)-PAM densities, and one table of the PAM density at the real
+Gauss-Hermite nodes gives all its atoms without the M candidates ever
+meeting the 2-D plane. The weighted nodes form a discrete per-use law
+(PerUseLaw): (I, V) are its moments, and minislot.bounds reads the IS/DT
+bounds off it. equivalent_channel is the one map from a scheme at an
+operating point to that law. The quadrature carries its truncation
+estimate where Monte Carlo carries a standard error. The samplers and the
+Monte Carlo estimators stay as the reference of both.
 
 Everything is evaluated in bits with log-sum-exp guarding. The normal
 approximation is available as epsilon and as ln epsilon, which stays finite
@@ -300,7 +304,8 @@ def _diff_density(re: np.ndarray, im: np.ndarray, params: DiffChannelParams) -> 
 def _coherent_density(gamma_hat: float, q, w, d) -> np.ndarray:
     """Coherent density at fading power q = |h|^2 and noise w in the frame
     where h is real, from -gamma_hat q |D|^2 - 2 sqrt(gamma_hat q) Re(conj(w) D)
-    with D = x_j - x_i, candidates x_i on the first axis of d (all broadcast)."""
+    with D = x_j - x_i, candidates x_i on the first axis of d (all broadcast).
+    Real w and d give the density of one PAM axis of square QAM."""
     ex = d.real * w.real
     ex += d.imag * w.imag
     ex = ex * (-2.0 * np.sqrt(gamma_hat * q))
@@ -464,7 +469,8 @@ def _input_classes(constellation: Constellation):
     is the same for inputs that a symmetry of the alphabet maps onto each
     other: every PSK point is a rotation of the first, and square QAM falls
     into D4 classes of 4 (diagonal) or 8 points, represented in the sector
-    0 < Re x <= Im x.
+    0 < Re x <= Im x. The QAM representatives' real and imaginary parts
+    are exact PAM levels of the alphabet, which the factorised law indexes.
     """
     pts = constellation.points
     if constellation.kind == "psk":
@@ -481,16 +487,33 @@ def _coherent_law(gamma_hat: float, constellation: Constellation, n_nodes: int) 
     """Per-use law of the coherent fading channel.
 
     With h rotated real, |h|^2 = q and conj(w) h = sqrt(q) conj(w); the
-    inputs enter through their symmetry classes.
+    inputs enter through their symmetry classes. For square QAM the
+    exponent splits into a real-axis and an imaginary-axis term,
+    -g q D_r^2 - 2 sqrt(g q) w_r D_r and the same in (w_i, D_i), so the sum
+    over the M = side^2 candidates is a product of two sums over the side
+    PAM levels: the density is i_PAM(w_r, a) + i_PAM(w_i, b) for the input
+    a + jb, and one table of the PAM density at the real Gauss-Hermite
+    nodes gives every atom. PSK rows do not factor that way, so PSK and
+    generic alphabets sum their M candidates over the 2-D plane.
     """
     if gamma_hat <= 0.0:
         raise ValueError("gamma_hat must be positive")
     pts = constellation.points
     reps, probs = _input_classes(constellation)
     w, ww = _cn_rule()
-    d = reps - pts[:, None]  # (order, classes)
     q, wq = _exp_rule(gamma_hat, n_nodes)
-    dens = _coherent_density(gamma_hat, q[:, None, None], w, d[:, None, :, None])
+    if constellation.kind == "qam":
+        levels = np.unique(pts.real)  # the imaginary parts are the same floats
+        t = w.real[::GH_NODES]  # the 1-D Gauss-Hermite nodes
+        tab = _coherent_density(gamma_hat, q[:, None, None], t,
+                                (levels - levels[:, None])[:, None, :, None])  # (q, level, t)
+        ia, ib = np.searchsorted(levels, reps.real), np.searchsorted(levels, reps.imag)
+        # written into a C-ordered array, so that the reshape below is a view
+        dens = np.empty((q.size, reps.size, t.size, t.size))  # (q, class, Re w, Im w)
+        np.add(tab[:, ia, :, None], tab[:, ib, None, :], out=dens)
+    else:
+        d = reps - pts[:, None]  # (order, classes)
+        dens = _coherent_density(gamma_hat, q[:, None, None], w, d[:, None, :, None])
     return PerUseLaw(dens.reshape(q.size, -1), wq[:, None] * (probs[:, None] * ww).ravel())
 
 

@@ -266,23 +266,49 @@ def diff_law_direct(params, n_nodes):
 
 
 def coherent_law_direct(gamma_hat, constellation, n_nodes):
-    """Per-use law of the coherent fading channel.
+    """Per-use law of the coherent fading channel over the 2-D plane, in the
+    (q node, Gauss-Hermite node, class) layout.
 
     With h rotated real, |h|^2 = q and conj(w) h = sqrt(q) conj(w); the
-    inputs enter through their symmetry classes.
+    inputs enter through their symmetry classes. One q node at a time, so
+    that 256-QAM stays within ~0.1 GB.
     """
     pts = constellation.points
     reps, probs = fbl._input_classes(constellation)
     w, ww = fbl._cn_rule()
     d = reps[:, None] - pts[None, :]  # (classes, order)
     q, wq = fbl._exp_rule(gamma_hat, n_nodes)
-    hw = np.sqrt(q)[:, None, None] * np.conj(w)[None, :, None]
-    h2 = q[:, None, None]
-    ex = -gamma_hat * h2[..., None] * np.abs(d) ** 2 - 2.0 * np.sqrt(gamma_hat) * np.real(
-        hw[..., None] * d
-    )
-    dens = _density_from_exponents_direct(ex)
+    dens = np.empty((q.size, w.size, reps.size))
+    for k in range(q.size):
+        hw = np.sqrt(q[k]) * np.conj(w)[:, None]
+        ex = -gamma_hat * q[k] * np.abs(d) ** 2 - 2.0 * np.sqrt(gamma_hat) * np.real(
+            hw[..., None] * d
+        )
+        dens[k] = _density_from_exponents_direct(ex)
     return fbl.PerUseLaw(dens.reshape(q.size, -1), wq[:, None] * (ww[:, None] * probs).ravel())
+
+
+def coherent_law_longdouble(gamma_hat, constellation, n_nodes):
+    """The atoms of coherent_law_direct evaluated in long double from the
+    same float64 nodes and points, in the same layout: the 2-D kernel with
+    its rounding taken out, a reference for the float64 kernels' own."""
+    ld = np.longdouble
+    pts = constellation.points
+    reps, _ = fbl._input_classes(constellation)
+    w, _ = fbl._cn_rule()
+    q, _ = fbl._exp_rule(gamma_hat, n_nodes)
+    d = reps[:, None] - pts[None, :]  # (classes, order)
+    dr, di = d.real.astype(ld), d.imag.astype(ld)
+    d2 = dr * dr + di * di
+    wr, wi = w.real.astype(ld)[:, None, None], w.imag.astype(ld)[:, None, None]
+    g = ld(gamma_hat)
+    dens = np.empty((q.size, w.size, reps.size), dtype=ld)
+    for k, qk in enumerate(q.astype(ld)):
+        ex = -g * qk * d2 - 2 * np.sqrt(g * qk) * (wr * dr + wi * di)
+        mx = ex.max(axis=-1)
+        lse = mx + np.log(np.exp(ex - mx[..., None]).sum(axis=-1))
+        dens[k] = np.log2(ld(pts.size)) - lse / np.log(ld(2))
+    return dens.reshape(q.size, -1)
 
 
 # ---------------------------------------------------------------------------

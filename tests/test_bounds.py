@@ -21,6 +21,7 @@ from minislot.bounds import (
     _dt_threshold,
     _fast_size,
     _lattice_bounds,
+    _TILTS,
     _window,
 )
 from minislot.channel import DopplerSpec, exponential_pdp
@@ -235,6 +236,22 @@ def test_two_atom_window_lies_inside_the_span_at_large_n():
     m0, m1 = _window(pmf, 2000)
     assert 0 < m0 < m1 < 2000 * 350
     assert m1 >= _fast_size(m1 - m0 + 1)
+
+
+def test_window_holds_one_tilt_matrix():
+    """_window's Chernoff bounds exponentiate one (tilts x bins) array in
+    place: over 2e4 bins (4.2 MB of tilts) the traced peak stays within 1.5
+    times that array, where an out-of-place exp needs three of them."""
+    pmf = np.random.default_rng(3).random(20_000)
+    tilt_bytes = 2 * _TILTS.size * pmf.size * 8
+    tracemalloc.start()
+    try:
+        m0, m1 = _window(pmf, 126)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * tilt_bytes, peak
+    assert 0 <= m0 < m1 <= 126 * (pmf.size - 1)
 
 
 def test_lattice_bounds_single_atom_far_above_payload():
