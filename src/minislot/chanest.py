@@ -24,7 +24,14 @@ component is the mean of this map over one class of grid.class_map on the
 first pilot window, the symbols whose source_pilot_symbols entry is 1;
 sigma_e2 weights them by that window's class counts, and sigma_e2_grid is
 the map's mean over all K*T elements. measure_mse reduces its squared errors
-over the same window with the same function.
+over the same window with the same class means, written as one weight
+matrix (_window_weights).
+
+measure_mse is a Monte Carlo reference, and its cost is memory traffic, not
+arithmetic. It keeps its random stream per chunk of _MSE_CHUNK realizations
+and runs the estimation chain on blocks of about _MSE_BLOCK grid elements,
+laid out (realization, symbol, subcarrier), so that each stage's
+temporaries stay in cache instead of passing over a whole chunk's grid.
 
 The white-error premise is exact for the LMMSE residual variance itself but
 an approximation for the interpolation and reuse stages, where the actual
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_rng
-from .channel import freq_correlation, sample_channel_grids, time_correlation
+from .channel import _draw_taps, freq_correlation, time_correlation
 from .grid import (
     PA,
     PA_CLASSES,
@@ -199,6 +206,25 @@ def _window_class_means(mse, grid: MiniSlotGrid) -> dict:
     return {c: mse[..., cmap == c].mean(axis=-1) for c in PA_CLASSES[1:] if np.any(cmap == c)}
 
 
+def _window_weights(grid: MiniSlotGrid):
+    """_window_class_means as a matrix, with the grid mean added, for maps
+    laid out (T, K) and flattened: (classes, W), W a (C + 1, T*K) matrix
+    whose row i averages classes[i], the C PA data classes present on the
+    first pilot window, over that window, and whose last row averages the
+    whole grid.
+
+    measure_mse applies W to a block of realizations as one matrix product.
+    Its sequential sums differ from the pairwise means of
+    _window_class_means by up to 1e-13 relative over K*T = 7168 elements,
+    far inside the Monte Carlo error; the closed form keeps the pairwise
+    means, whose last bits its outputs print.
+    """
+    cmap = _window_class_map(grid).T.ravel()
+    classes = [c for c in PA_CLASSES[1:] if np.any(cmap == c)]
+    member = np.stack([cmap == c for c in classes] + [np.ones(cmap.size, bool)])
+    return classes, member / np.count_nonzero(member, axis=1)[:, None]
+
+
 def average_mse(grid: MiniSlotGrid, phi: dict):
     """Average of the per-class MSEs phi (ReClass -> value) over the first
     pilot window of class_map(grid, PA), the symbols that reuse symbol 1.
@@ -307,8 +333,19 @@ class MseMeasurement:
     error_model: str
 
 
-# realizations drawn per batch in measure_mse, which bounds its memory
+# The chunk fixes the random stream: measure_mse draws the tap gains, then
+# each pilot symbol's noise and matched error, for up to _MSE_CHUNK
+# realizations at a time. The block fixes the working set: it evaluates those
+# draws about _MSE_BLOCK grid elements (realization x symbol x subcarrier) at
+# a time, so that the chain's temporaries stay in cache.
 _MSE_CHUNK = 10_000
+_MSE_BLOCK = 1 << 15
+
+
+def _complex_normal(rng, var: float, out: np.ndarray) -> None:
+    """Fill out with CN(0, var) draws, real parts then imaginary parts."""
+    re, im = rng.standard_normal(out.shape), rng.standard_normal(out.shape)
+    np.multiply(re + 1j * im, np.sqrt(var / 2.0), out=out)
 
 
 def measure_mse(
@@ -343,60 +380,58 @@ def measure_mse(
         raise ValueError("measure_mse needs a pilot pattern")
     K, T = grid.n_subcarriers, grid.n_symbols
     delta = pattern.delta_sub
-    pilots = list(pattern.pilot_symbols)
+    pilot_rows = np.array(pattern.pilot_symbols) - 1
     phi = phi_lmmse(pdp, K, delta, gamma)
     rng = as_rng(seed)
 
-    cmap = class_map(grid, PA)
-    pilot_k = np.flatnonzero(cmap[:, pilots[0] - 1] == ReClass.PILOT)
+    pilot_k = np.flatnonzero(class_map(grid, PA)[:, pilot_rows[0]] == ReClass.PILOT)
     lam = pilot_k.size
+    # the symbols that reuse each pilot symbol's estimates: one run each
     source = source_pilot_symbols(grid)
+    reuse = [slice(p - 1, np.flatnonzero(source == p)[-1] + 1) for p in pattern.pilot_symbols]
+    classes, weights = _window_weights(grid)
+    block = max(1, _MSE_BLOCK // (T * K))
 
-    # the pilot class is measured on the LMMSE stage itself, not on the
-    # interpolated grid
-    per_class = {ReClass.PILOT: []}
-    grid_avg = []
+    # per realization: the pilot class, measured on the LMMSE stage itself
+    # rather than on the interpolated grid, then the window's data classes
+    # and the grid mean
+    rows = np.empty((n_realizations, 1 + weights.shape[0]))
     done = 0
     while done < n_realizations:
         n = min(_MSE_CHUNK, n_realizations - done)
-        H, _ = sample_channel_grids(pdp, doppler, K, T, n, rng)
-        # honest pilot estimation at each pilot symbol
-        err_l = []
-        est_by_sym = {}
-        for tp in pilots:
-            h_p = H[:, pilot_k, tp - 1]  # (n, lam)
-            noise = (
-                rng.standard_normal((n, lam)) + 1j * rng.standard_normal((n, lam))
-            ) * np.sqrt(0.5 / gamma)
-            h_lmmse = lmmse_estimate(h_p + noise, pdp, delta, gamma)
-            err_l.append(np.abs(h_lmmse - h_p) ** 2)
-            if error_model == "matched":
-                e = (
-                    rng.standard_normal((n, lam)) + 1j * rng.standard_normal((n, lam))
-                ) * np.sqrt(phi / 2.0)
-                est_by_sym[tp] = h_p + e
-            else:
-                est_by_sym[tp] = h_lmmse
-        per_class[ReClass.PILOT].append(np.mean(np.concatenate(err_l, axis=1), axis=1))
-
-        full_by_sym = {tp: interpolate_linear(est_by_sym[tp], delta) for tp in pilots}
-        sq = np.empty((n, K, T))
-        for t, tp in enumerate(source):
-            sq[:, :, t] = np.abs(full_by_sym[tp] - H[:, :, t]) ** 2
-        for c, v in _window_class_means(sq, grid).items():
-            per_class.setdefault(c, []).append(v)
-        grid_avg.append(sq.mean(axis=(1, 2)))
+        # (n, T, L), each symbol's taps contiguous for the FFT over delay
+        taps = np.ascontiguousarray(_draw_taps(pdp, doppler, K, T, n, rng).transpose(0, 2, 1))
+        # per pilot symbol: the LS noise, then the matched error
+        noise = np.empty((pilot_rows.size, n, lam), dtype=complex)
+        error = np.empty_like(noise) if error_model == "matched" else None
+        for i in range(pilot_rows.size):
+            _complex_normal(rng, 1.0 / gamma, noise[i])
+            if error is not None:
+                _complex_normal(rng, phi, error[i])
+        for lo in range(0, n, block):
+            sl = slice(lo, lo + block)
+            H = np.fft.fft(taps[sl], n=K, axis=-1)  # (b, T, K)
+            h_p = H[:, pilot_rows[:, None], pilot_k]  # (b, P, lam)
+            h_lmmse = lmmse_estimate(h_p + noise[:, sl].swapaxes(0, 1), pdp, delta, gamma)
+            e = h_lmmse - h_p
+            out = rows[done + lo : done + lo + e.shape[0]]
+            out[:, 0] = (e.real ** 2 + e.imag ** 2).mean(axis=(1, 2))
+            est = h_lmmse if error is None else h_p + error[:, sl].swapaxes(0, 1)
+            full = interpolate_linear(est, delta)  # (b, P, K)
+            for i, cols in enumerate(reuse):
+                H[:, cols] -= full[:, i, None]  # H becomes the error, negated
+            sq = H.real ** 2 + H.imag ** 2
+            out[:, 1:] = sq.reshape(sq.shape[0], T * K) @ weights.T
         done += n
 
     def reduce(x):
         return float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size))
 
-    # per-realization class means; a class the first window lacks reads nan
-    # and average_mse skips it
-    means = {c: np.concatenate(v) for c, v in per_class.items()}
+    # a class the first window lacks reads nan and average_mse skips it
+    means = {ReClass.PILOT: rows[:, 0], **dict(zip(classes, rows[:, 1:-1].T))}
     fields = {}
     for c, name in _PHI_FIELD.items():
         fields[name], fields[name + "_se"] = reduce(means[c]) if c in means else (np.nan, np.nan)
     fields["sigma_e2"], fields["sigma_e2_se"] = reduce(average_mse(grid, means))
-    fields["sigma_e2_grid"], fields["sigma_e2_grid_se"] = reduce(np.concatenate(grid_avg))
+    fields["sigma_e2_grid"], fields["sigma_e2_grid_se"] = reduce(rows[:, -1])
     return MseMeasurement(**fields, n_realizations=n_realizations, error_model=error_model)

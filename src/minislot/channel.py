@@ -143,20 +143,15 @@ def _jakes_sqrt(fd_ts: float, n_symbols: int) -> np.ndarray:
         ) from exc
 
 
-def sample_channel_grids(pdp, doppler, n_subcarriers, n_symbols, n_grids, seed):
-    """Draw n_grids independent channel realizations, vectorized.
-
-    Returns (H, taps) with shapes (n_grids, K, T) and (n_grids, L, T).
-    Per tap, the length-T sequence is Gaussian with covariance
-    sigma_l^2 * J_0(2*pi*fdTs*|dt|); taps are independent of each other.
-    H is the K-point DFT of the zero-padded taps per symbol.
-    """
+def _draw_taps(pdp, doppler, n_subcarriers, n_symbols, n_grids, rng) -> np.ndarray:
+    """The tap gains of n_grids realizations on a K x T grid, (n_grids, L, T):
+    the one definition of the channel draw, which sample_channel_grids and
+    chanest.measure_mse both take from rng."""
     n_taps = pdp.n_taps
     if n_subcarriers <= n_taps:
         raise ValueError("need more subcarriers than channel taps (K > L)")
     if n_symbols < 1:
         raise ValueError("need at least one OFDM symbol")
-    rng = as_rng(seed)
     sqrt_cov = _jakes_sqrt(_fd_ts(doppler), n_symbols)  # (T, r)
     r = sqrt_cov.shape[1]
     g = rng.standard_normal((n_grids, n_taps, r)) + 1j * rng.standard_normal(
@@ -165,6 +160,18 @@ def sample_channel_grids(pdp, doppler, n_subcarriers, n_symbols, n_grids, seed):
     g *= np.sqrt(0.5)  # unit-variance complex Gaussians
     taps = g @ sqrt_cov.T  # (n, L, T), covariance J across symbols
     taps *= np.sqrt(pdp.taps)[None, :, None]
+    return taps
+
+
+def sample_channel_grids(pdp, doppler, n_subcarriers, n_symbols, n_grids, seed):
+    """Draw n_grids independent channel realizations, vectorized.
+
+    Returns (H, taps) with shapes (n_grids, K, T) and (n_grids, L, T).
+    Per tap, the length-T sequence is Gaussian with covariance
+    sigma_l^2 * J_0(2*pi*fdTs*|dt|); taps are independent of each other.
+    H is the K-point DFT of the zero-padded taps per symbol.
+    """
+    taps = _draw_taps(pdp, doppler, n_subcarriers, n_symbols, n_grids, as_rng(seed))
     H = np.fft.fft(taps, n=n_subcarriers, axis=1)  # zero-padded DFT over delay
     return H, taps
 

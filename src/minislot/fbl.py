@@ -333,6 +333,11 @@ def sample_diff_density(
     return out
 
 
+# draws evaluated at a time by sample_coherent_density: its (M, block)
+# temporaries then stay in cache, where a whole chunk's would not
+_COHERENT_BLOCK = 4096
+
+
 def sample_coherent_density(
     gamma_hat: float, constellation: Constellation, n: int, rng,
     chunk: int = 1 << 18,
@@ -344,6 +349,15 @@ def sample_coherent_density(
     |w|^2 - |w + sqrt(g) h (x_j - x_i)|^2
       = -g |h|^2 |D|^2 - 2 sqrt(g) |h| Re(conj(w e^{-j arg h}) D),
     D = x_j - x_i.
+
+    Draws are made `chunk` at a time, so n <= chunk consumes the same stream
+    as one draw of n. The density of each chunk is evaluated _COHERENT_BLOCK
+    draws at a time; its arithmetic is elementwise per draw, so the block
+    changes the working set, not the output. w e^{-j arg h} is still formed
+    per chunk: numpy reuses a product's temporary operand in place when it
+    exceeds 256 KiB, which swaps the operands of the complex product and
+    moves some of its roundings, so a per-block product would move the
+    output in the last bit.
     """
     if gamma_hat <= 0.0:
         raise ValueError("gamma_hat must be positive")
@@ -356,9 +370,13 @@ def sample_coherent_density(
         h = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * np.sqrt(0.5)
         w = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * np.sqrt(0.5)
         j = rng.integers(0, order, size=m)
-        d = pts[j] - pts[:, None]  # (order, m)
         w_h = w * np.exp(-1j * np.angle(h))
-        out[done : done + m] = _coherent_density(gamma_hat, np.abs(h) ** 2, w_h, d)
+        q = np.abs(h) ** 2
+        for lo in range(0, m, _COHERENT_BLOCK):
+            sl = slice(lo, lo + _COHERENT_BLOCK)
+            d = pts[j[sl]] - pts[:, None]  # (order, block)
+            out[done + lo : done + lo + d.shape[1]] = _coherent_density(
+                gamma_hat, q[sl], w_h[sl], d)
         done += m
     return out
 

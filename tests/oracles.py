@@ -16,8 +16,10 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 
-from minislot import bounds, fbl
-from minislot.channel import freq_correlation, time_correlation
+from minislot import bounds, chanest, fbl
+from minislot._util import as_rng
+from minislot.channel import _fd_ts, _jakes_sqrt, freq_correlation, time_correlation
+from minislot.grid import PA, ReClass, class_map, source_pilot_symbols
 
 # ---------------------------------------------------------------------------
 # Frozen quadrature values (deterministic; see functions below)
@@ -335,3 +337,115 @@ def lattice_bounds_direct(d, w, n_uses, n_info_bits, step):
     best = int(np.argmax(objective))
     dt = float(pmf @ np.exp2(-np.maximum(t - bounds._dt_threshold(n_info_bits), 0.0)))
     return float(objective[best]), float(t[best]), dt
+
+
+# ---------------------------------------------------------------------------
+# The Monte Carlo references as first written: every channel grid of a chunk
+# at once, laid out (realization, K, T), reduced by the closed form's
+# boolean-mask class means.
+# The package's blocked code draws the same streams and must reproduce these
+# to rounding (the samplers bit for bit).
+# ---------------------------------------------------------------------------
+
+def sample_channel_grids_direct(pdp, doppler, n_subcarriers, n_symbols, n_grids, seed):
+    """channel.sample_channel_grids with the tap draw inline."""
+    n_taps = pdp.n_taps
+    if n_subcarriers <= n_taps:
+        raise ValueError("need more subcarriers than channel taps (K > L)")
+    if n_symbols < 1:
+        raise ValueError("need at least one OFDM symbol")
+    rng = as_rng(seed)
+    sqrt_cov = _jakes_sqrt(_fd_ts(doppler), n_symbols)  # (T, r)
+    r = sqrt_cov.shape[1]
+    g = rng.standard_normal((n_grids, n_taps, r)) + 1j * rng.standard_normal(
+        (n_grids, n_taps, r)
+    )
+    g *= np.sqrt(0.5)  # unit-variance complex Gaussians
+    taps = g @ sqrt_cov.T  # (n, L, T), covariance J across symbols
+    taps *= np.sqrt(pdp.taps)[None, :, None]
+    H = np.fft.fft(taps, n=n_subcarriers, axis=1)  # zero-padded DFT over delay
+    return H, taps
+
+
+def measure_mse_direct(pdp, doppler, grid, gamma, n_realizations, seed,
+                       error_model="matched"):
+    """chanest.measure_mse over whole chunks of chanest._MSE_CHUNK grids."""
+    if error_model not in ("matched", "estimator"):
+        raise ValueError("error_model must be 'matched' or 'estimator'")
+    if n_realizations < 2:
+        raise ValueError("n_realizations must be >= 2 for a standard error")
+    pattern = grid.pattern
+    K, T = grid.n_subcarriers, grid.n_symbols
+    delta = pattern.delta_sub
+    pilots = list(pattern.pilot_symbols)
+    phi = chanest.phi_lmmse(pdp, K, delta, gamma)
+    rng = as_rng(seed)
+
+    cmap = class_map(grid, PA)
+    pilot_k = np.flatnonzero(cmap[:, pilots[0] - 1] == ReClass.PILOT)
+    lam = pilot_k.size
+    source = source_pilot_symbols(grid)
+
+    per_class = {ReClass.PILOT: []}
+    grid_avg = []
+    done = 0
+    while done < n_realizations:
+        n = min(chanest._MSE_CHUNK, n_realizations - done)
+        H, _ = sample_channel_grids_direct(pdp, doppler, K, T, n, rng)
+        err_l = []
+        est_by_sym = {}
+        for tp in pilots:
+            h_p = H[:, pilot_k, tp - 1]  # (n, lam)
+            noise = (
+                rng.standard_normal((n, lam)) + 1j * rng.standard_normal((n, lam))
+            ) * np.sqrt(0.5 / gamma)
+            h_lmmse = chanest.lmmse_estimate(h_p + noise, pdp, delta, gamma)
+            err_l.append(np.abs(h_lmmse - h_p) ** 2)
+            if error_model == "matched":
+                e = (
+                    rng.standard_normal((n, lam)) + 1j * rng.standard_normal((n, lam))
+                ) * np.sqrt(phi / 2.0)
+                est_by_sym[tp] = h_p + e
+            else:
+                est_by_sym[tp] = h_lmmse
+        per_class[ReClass.PILOT].append(np.mean(np.concatenate(err_l, axis=1), axis=1))
+
+        full_by_sym = {tp: chanest.interpolate_linear(est_by_sym[tp], delta) for tp in pilots}
+        sq = np.empty((n, K, T))
+        for t, tp in enumerate(source):
+            sq[:, :, t] = np.abs(full_by_sym[tp] - H[:, :, t]) ** 2
+        for c, v in chanest._window_class_means(sq, grid).items():
+            per_class.setdefault(c, []).append(v)
+        grid_avg.append(sq.mean(axis=(1, 2)))
+        done += n
+
+    def reduce(x):
+        return float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size))
+
+    means = {c: np.concatenate(v) for c, v in per_class.items()}
+    fields = {}
+    for c, name in chanest._PHI_FIELD.items():
+        fields[name], fields[name + "_se"] = reduce(means[c]) if c in means else (np.nan, np.nan)
+    fields["sigma_e2"], fields["sigma_e2_se"] = reduce(chanest.average_mse(grid, means))
+    fields["sigma_e2_grid"], fields["sigma_e2_grid_se"] = reduce(np.concatenate(grid_avg))
+    return chanest.MseMeasurement(**fields, n_realizations=n_realizations,
+                                  error_model=error_model)
+
+
+def sample_coherent_density_direct(gamma_hat, constellation, n, rng, chunk=1 << 18):
+    """fbl.sample_coherent_density evaluating each chunk's (M, chunk)
+    exponents at once."""
+    pts = constellation.points
+    order = pts.size
+    out = np.empty(n)
+    done = 0
+    while done < n:
+        m = min(chunk, n - done)
+        h = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * np.sqrt(0.5)
+        w = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * np.sqrt(0.5)
+        j = rng.integers(0, order, size=m)
+        d = pts[j] - pts[:, None]  # (order, m)
+        w_h = w * np.exp(-1j * np.angle(h))
+        out[done : done + m] = fbl._coherent_density(gamma_hat, np.abs(h) ** 2, w_h, d)
+        done += m
+    return out

@@ -1,6 +1,9 @@
 """Channel estimation: LMMSE filtering, interpolation, closed-form MSE."""
 
+import dataclasses
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from minislot.chanest import (
     mse_map,
     phi_lmmse,
     pilot_spectrum,
+    _PHI_FIELD,
+    _window_weights,
 )
 from minislot.grid import PA, MiniSlotGrid, PilotPattern, ReClass, class_map, standard_pattern
 
@@ -351,3 +356,110 @@ def test_measure_mse_rejects_too_few_realizations():
     for n in (1, 0, -5):
         with pytest.raises(ValueError, match="n_realizations"):
             measure_mse(pdp, DopplerSpec(0.0), grid, 1.0, n, seed=0)
+
+
+def _assert_same_fields(got, want, rel, case):
+    """Every field of two MseMeasurements agrees within rel, nan where the
+    reference is nan."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, float) and np.isnan(b):
+            assert np.isnan(a), (case, f.name)
+        elif isinstance(b, float):
+            assert a == pytest.approx(b, rel=rel, abs=0.0), (case, f.name, a, b)
+        else:
+            assert a == b, (case, f.name)
+
+
+def test_window_weights_are_the_closed_form_class_means():
+    """measure_mse's weight matrix, applied to the closed-form map as one
+    matrix product, gives channel_estimation_mse's class means and grid
+    mean to the product's sequential rounding."""
+    for (n_taps, decay), K, T, high_mobility, delta, fd in itertools.product(
+        ((5, 1.0), (40, 0.1)), (16, 64, 256), (2, 4, 7), (False, True),
+        (1, 2, 4, 8), (0.0, 0.05, 0.2),
+    ):
+        if n_taps >= K or K // delta < 2:
+            continue
+        pdp, doppler = exponential_pdp(n_taps, decay), DopplerSpec(fd)
+        grid = MiniSlotGrid(K, T, standard_pattern(T, high_mobility, delta))
+        case = (n_taps, K, T, high_mobility, delta, fd)
+        br = channel_estimation_mse(pdp, doppler, grid, 4.0)
+        classes, weights = _window_weights(grid)
+        *means, grid_mean = mse_map(pdp, doppler, grid, br.phi_lmmse).T.ravel() @ weights.T
+        want = {c: getattr(br, f) for c, f in _PHI_FIELD.items() if c != ReClass.PILOT}
+        assert {c for c, v in want.items() if not np.isnan(v)} == set(classes), case
+        for c, v in zip(classes, means):
+            assert v == pytest.approx(want[c], rel=1e-13, abs=0.0), (case, c)
+        assert grid_mean == pytest.approx(br.sigma_e2_grid, rel=1e-13, abs=0.0), case
+
+
+def test_measure_mse_matches_the_direct_reference():
+    """The blocked measure_mse draws the direct reference's streams and
+    reduces them to the same fields, over every layout the blocks see."""
+    pdp = exponential_pdp(5, 1.0)
+    for model, (T, high_mobility), fd, delta, K, n in itertools.product(
+        ("matched", "estimator"), itertools.product((2, 4, 7), (False, True)),
+        (0.0, 0.05), (1, 2, 4), (64, 256), (2, 3),
+    ):
+        grid = MiniSlotGrid(K, T, standard_pattern(T, high_mobility, delta))
+        case = (model, T, high_mobility, fd, delta, K, n)
+        got = measure_mse(pdp, fd, grid, 4.0, n, seed=31, error_model=model)
+        want = oracles.measure_mse_direct(pdp, fd, grid, 4.0, n, seed=31, error_model=model)
+        _assert_same_fields(got, want, 1e-12, case)
+
+
+@pytest.mark.parametrize("n", [10_001, 25_000])
+@pytest.mark.parametrize("K, T, high_mobility, fd, delta, model", [
+    (64, 7, True, 0.05, 2, "matched"),
+    (256, 4, False, 0.0, 4, "estimator"),
+])
+def test_measure_mse_matches_the_direct_reference_across_chunks(
+        K, T, high_mobility, fd, delta, model, n):
+    """Past one chunk of draws, and across many blocks, the fields still
+    match the direct reference."""
+    pdp = exponential_pdp(5, 1.0)
+    grid = MiniSlotGrid(K, T, standard_pattern(T, high_mobility, delta))
+    got = measure_mse(pdp, fd, grid, 4.0, n, seed=37, error_model=model)
+    want = oracles.measure_mse_direct(pdp, fd, grid, 4.0, n, seed=37, error_model=model)
+    _assert_same_fields(got, want, 1e-12, (K, T, high_mobility, fd, delta, model, n))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_measure_mse_working_set_is_bounded():
+    """Blocks keep measure_mse's memory to its draws: 1e4 realizations of a
+    T = 7 high-mobility grid peak below 60 MB (the whole-chunk grid took
+    185 MB)."""
+    pdp = exponential_pdp(5, 1.0)
+    grid = MiniSlotGrid(64, 7, standard_pattern(7, True, 2))
+    peak = _traced_peak(lambda: measure_mse(pdp, 0.05, grid, 4.0, 10_000, seed=41))
+    assert peak <= 60e6, peak
+
+
+def test_measure_mse_scales_to_wide_grids():
+    """At K = 1024, T = 7 and every subcarrier a pilot, the blocked
+    measure_mse is no slower than the direct reference and peaks at no more
+    than half its memory."""
+    pdp = exponential_pdp(5, 1.0)
+    grid = MiniSlotGrid(1024, 7, standard_pattern(7, True, 1))
+
+    def run(fn):
+        return lambda: fn(pdp, 0.05, grid, 4.0, 2000, seed=43)
+
+    blocked, direct = run(measure_mse), run(oracles.measure_mse_direct)
+    times = {blocked: [], direct: []}
+    for _ in range(2):
+        for fn in times:
+            t0 = time.perf_counter()
+            fn()
+            times[fn].append(time.perf_counter() - t0)
+    assert min(times[blocked]) <= min(times[direct]), times
+    assert _traced_peak(blocked) <= 0.5 * _traced_peak(direct)

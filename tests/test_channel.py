@@ -13,6 +13,7 @@ from minislot.channel import (
     time_correlation,
 )
 
+import oracles
 from oracles import j0_series, rho_f_direct
 
 
@@ -161,3 +162,16 @@ def test_taps_are_mutually_independent():
     c02 = np.mean(taps[:, 0, 1] * np.conj(taps[:, 2, 1]))
     assert abs(c01) < 5 / np.sqrt(50_000)
     assert abs(c02) < 5 / np.sqrt(50_000)
+
+
+def test_sample_channel_grids_match_the_direct_draw():
+    """The tap draw, split out so that measure_mse takes the same stream,
+    leaves sample_channel_grids bit for bit what it was."""
+    for n_taps, fd, K, T, n, seed in (
+        (5, 0.0, 64, 7, 9, 1), (5, 0.05, 64, 4, 100, 2), (12, 0.2, 16, 2, 3, 3),
+        (40, 0.01, 256, 7, 20, 4), (1, 0.1, 8, 1, 5, 5),
+    ):
+        pdp = exponential_pdp(n_taps, 0.3)
+        H, taps = sample_channel_grids(pdp, DopplerSpec(fd), K, T, n, seed=seed)
+        H0, taps0 = oracles.sample_channel_grids_direct(pdp, DopplerSpec(fd), K, T, n, seed)
+        assert np.array_equal(taps, taps0) and np.array_equal(H, H0), (n_taps, fd, K, T)

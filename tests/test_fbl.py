@@ -253,6 +253,19 @@ def test_coherent_density_chunking_invariant():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("constellation", [qam(4), qam(16), qam(64), psk(8)],
+                         ids=["QPSK", "16QAM", "64QAM", "8PSK"])
+def test_coherent_density_blocks_match_the_direct_sampler(constellation):
+    """Evaluating each chunk a block at a time changes the working set, not
+    the output: bit for bit the sampler that evaluates whole chunks, across
+    block and chunk boundaries and on one chunk of many blocks."""
+    for n, chunk in ((12_293, 5000), (40_000, 1 << 18)):
+        a = sample_coherent_density(3.0, constellation, n, np.random.default_rng(21), chunk)
+        b = oracles.sample_coherent_density_direct(
+            3.0, constellation, n, np.random.default_rng(21), chunk)
+        assert np.array_equal(a, b), (constellation.points.size, n, chunk)
+
+
 def test_diff_density_chunks_continue_one_stream():
     """Chunked draws are the draws of the chunks in turn; n <= chunk is one
     draw of n, so streams up to 2^18 draws match the unchunked sampler."""
