@@ -22,8 +22,8 @@ gamma_db = 2.0
 channel = equivalent_channel(FDDI, grid, pdp, DopplerSpec(0.01), db_to_lin(gamma_db), 4)
 iv = channel.iv()
 law = channel.law()
-sampler = lambda n, rng: sample_diff_density(channel.diff, n, rng)
-blocks = block_density_samples(sampler, N, 300_000, seed=6)
+blocks = block_density_samples(
+    lambda n, rng: sample_diff_density(channel.diff, n, rng), N, 300_000, seed=6)
 
 print(f"FDDi, {gamma_db:g} dB, N = {N} channel uses, "
       f"I = {iv.i:.4f} b/use, V = {iv.v:.4f}")
@@ -33,8 +33,8 @@ print("\n  B    IS lattice   IS MC                 NA           "
       "DT lattice   DT MC")
 for B in (20, 25, 30, 35, 40):
     lo, hi = lattice_bounds(law.densities, law.weights, N, B)
-    mc_lo = is_lower_bound(sampler, N, B, block_samples=blocks)
-    mc_hi = dt_upper_bound(sampler, N, B, block_samples=blocks)
+    mc_lo = is_lower_bound(blocks, B)
+    mc_hi = dt_upper_bound(blocks, B)
     na = normal_approx_bler(iv.i, iv.v, N, B / N)
     inside = lo.value <= na <= hi.value
     print(f"  {B}   {lo.value:.4e}   {mc_lo.value:.4e}+-{mc_lo.stderr:.0e}   "

@@ -11,94 +11,20 @@ bounds that sandwich them, computed from the law of the information density
 with Monte Carlo estimators as their reference. A small CLI drives
 parameter sweeps, scheme selection and Doppler crossover searches from
 JSON scenarios.
+
+Each layer's __all__ is the one list of what it makes public; the package
+re-exports those lists.
 """
 
 import importlib
 
-from .channel import (
-    ChannelGrid,
-    DopplerSpec,
-    PowerDelayProfile,
-    exponential_pdp,
-    freq_correlation,
-    sample_channel_grid,
-    sample_channel_grids,
-    time_correlation,
-)
-from .grid import (
-    FDDI,
-    MINI_SLOT_LENGTHS,
-    PA,
-    SCHEMES,
-    TDDI,
-    Constellation,
-    MiniSlotGrid,
-    PilotPattern,
-    ReClass,
-    class_map,
-    data_symbol_count,
-    default_constellation,
-    psk,
-    qam,
-    standard_pattern,
-)
-from .modem import (
-    DegenerateEstimateError,
-    DiffDecision,
-    RxGrid,
-    SymbolGrid,
-    coherent_detect,
-    differential_detect,
-    differential_encode,
-    fast_rx,
-    ofdm_time_domain_chain,
-)
-from .chanest import (
-    EstimationCollapseError,
-    MseBreakdown,
-    MseMeasurement,
-    average_mse,
-    channel_estimation_mse,
-    effective_snr,
-    interpolate_linear,
-    lmmse_estimate,
-    measure_mse,
-    mse_map,
-    phi_lmmse,
-    pilot_spectrum,
-)
-from .fbl import (
-    DiffChannelParams,
-    EquivalentChannel,
-    FblResult,
-    InfeasiblePayloadError,
-    IvEstimate,
-    ModelFidelityWarning,
-    awgn_capacity_dispersion,
-    channel_fbl,
-    coherent_capacity_dispersion,
-    coherent_quadrature_iv,
-    diff_capacity_dispersion,
-    diff_quadrature_iv,
-    diff_transition_logpdf,
-    equivalent_channel,
-    fddi_correlation,
-    feasible_blocklength,
-    normal_approx_bler,
-    normal_approx_log_bler,
-    PerUseLaw,
-    sample_coherent_density,
-    sample_diff_density,
-    scheme_fbl,
-    tddi_correlation,
-)
-from .bounds import (
-    BoundEstimate,
-    block_density_samples,
-    dt_upper_bound,
-    is_lower_bound,
-    lattice_bounds,
-)
+from . import bounds, chanest, channel, fbl, grid, modem
+from .bounds import *  # noqa: F401,F403
+from .chanest import *  # noqa: F401,F403
+from .channel import *  # noqa: F401,F403
+from .fbl import *  # noqa: F401,F403
+from .grid import *  # noqa: F401,F403
+from .modem import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
@@ -112,39 +38,8 @@ _CLI_NAMES = (
 
 __all__ = [
     "__version__",
-    # channel
-    "ChannelGrid", "DopplerSpec", "PowerDelayProfile", "exponential_pdp",
-    "freq_correlation", "sample_channel_grid", "sample_channel_grids",
-    "time_correlation",
-    # grid
-    "FDDI", "MINI_SLOT_LENGTHS", "PA", "SCHEMES", "TDDI", "Constellation",
-    "MiniSlotGrid", "PilotPattern", "ReClass", "class_map",
-    "data_symbol_count", "default_constellation", "psk", "qam", "standard_pattern",
-    # modem
-    "DegenerateEstimateError", "DiffDecision", "RxGrid", "SymbolGrid",
-    "coherent_detect", "differential_detect", "differential_encode",
-    "fast_rx", "ofdm_time_domain_chain",
-    # chanest
-    "EstimationCollapseError", "MseBreakdown", "MseMeasurement",
-    "average_mse", "channel_estimation_mse",
-    "effective_snr", "interpolate_linear", "lmmse_estimate", "measure_mse",
-    "mse_map", "phi_lmmse", "pilot_spectrum",
-    # fbl
-    "DiffChannelParams", "EquivalentChannel", "FblResult",
-    "InfeasiblePayloadError", "IvEstimate", "ModelFidelityWarning",
-    "PerUseLaw", "awgn_capacity_dispersion", "channel_fbl",
-    "coherent_capacity_dispersion", "coherent_quadrature_iv",
-    "diff_capacity_dispersion", "diff_quadrature_iv",
-    "diff_transition_logpdf", "equivalent_channel", "fddi_correlation",
-    "feasible_blocklength",
-    "normal_approx_bler",
-    "normal_approx_log_bler",
-    "sample_coherent_density", "sample_diff_density", "scheme_fbl",
-    "tddi_correlation",
-    # bounds
-    "BoundEstimate", "block_density_samples", "dt_upper_bound",
-    "is_lower_bound", "lattice_bounds",
-    # cli
+    *channel.__all__, *grid.__all__, *modem.__all__,
+    *chanest.__all__, *fbl.__all__, *bounds.__all__,
     *_CLI_NAMES,
 ]
 

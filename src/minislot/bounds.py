@@ -10,9 +10,9 @@ such as the quadrature law of minislot.fbl: it bins the law onto a lattice
 and takes the law of i_N by FFT convolution, only on the window where
 Chernoff bounds on the binned law put all of its mass but 1e-17 on each
 side, a few standard deviations around N I. The Monte Carlo estimators
-work on sampled block densities instead and serve as its reference.
-A density sampler for them is any callable (n, rng) -> n per-use densities;
-the samplers in minislot.fbl plug in directly.
+is_lower_bound and dt_upper_bound serve as its reference: they take block
+densities from block_density_samples, which sums per-use draws of any
+sampler (n, rng) -> n densities, such as the samplers in minislot.fbl.
 """
 
 from __future__ import annotations
@@ -242,27 +242,18 @@ def lattice_bounds(densities, weights, n_uses: int, n_info_bits: int):
     return lower, upper
 
 
-def is_lower_bound(
-    sampler, n_uses: int, n_info_bits: int, n_samples: int = 1_000_000, seed=0,
-    block_samples=None,
-) -> BoundEstimate:
-    """Lower bound sup_beta { P[i_N <= log2 beta] - beta 2^{-B} }.
+def is_lower_bound(block_densities, n_info_bits: int) -> BoundEstimate:
+    """Lower bound sup_beta { P[i_N <= log2 beta] - beta 2^{-B} } from
+    sampled block densities (block_density_samples).
 
     The empirical objective is a step function of log2 beta whose supremum
     is attained at a sample point, so the search is the exact maximum over
     the sorted samples rather than a grid scan. The reported standard error
     is the binomial error of the CDF term at the maximizer.
-
-    Precomputed block densities can be passed in block_samples to share one
-    sample set across bounds (seed is then ignored for generation).
     """
     if n_info_bits < 1:
         raise ValueError("payload must be >= 1 bit")
-    if block_samples is None:
-        if n_samples < 100_000:
-            raise ValueError("need at least 1e5 blocks for a stable bound")
-        block_samples = block_density_samples(sampler, n_uses, n_samples, seed)
-    s = np.sort(np.asarray(block_samples, dtype=float))
+    s = np.sort(np.asarray(block_densities, dtype=float))
     n = s.size
     cdf = np.arange(1, n + 1) / n
     with np.errstate(over="ignore"):
@@ -280,18 +271,12 @@ def is_lower_bound(
     )
 
 
-def dt_upper_bound(
-    sampler, n_uses: int, n_info_bits: int, n_samples: int = 1_000_000, seed=0,
-    block_samples=None,
-) -> BoundEstimate:
-    """Upper bound E[ 2^{-max(i_N - log2((2^B-1)/2), 0)} ]."""
+def dt_upper_bound(block_densities, n_info_bits: int) -> BoundEstimate:
+    """Upper bound E[ 2^{-max(i_N - log2((2^B-1)/2), 0)} ] from sampled
+    block densities (block_density_samples)."""
     if n_info_bits < 1:
         raise ValueError("payload must be >= 1 bit")
-    if block_samples is None:
-        if n_samples < 100_000:
-            raise ValueError("need at least 1e5 blocks for a stable bound")
-        block_samples = block_density_samples(sampler, n_uses, n_samples, seed)
-    s = np.asarray(block_samples, dtype=float)
+    s = np.asarray(block_densities, dtype=float)
     terms = np.exp2(-np.maximum(s - _dt_threshold(n_info_bits), 0.0))
     value = float(terms.mean())
     stderr = float(terms.std(ddof=1) / np.sqrt(terms.size))

@@ -9,7 +9,10 @@ is the DFT of the tap power profile and the joint time-frequency correlation
 factors exactly into a time part times a frequency part.
 
 All time lags are counted in OFDM symbols: fdTs is the maximum Doppler shift
-normalized to the OFDM symbol duration.
+normalized to the OFDM symbol duration. It may be given as a DopplerSpec or
+a bare float; either way DopplerSpec validates it. sample_channel_grids
+draws realizations as plain arrays, H (n, K, T) and taps (n, L, T); one
+realization is n = 1.
 """
 
 from __future__ import annotations
@@ -24,11 +27,9 @@ from ._util import as_rng
 __all__ = [
     "PowerDelayProfile",
     "DopplerSpec",
-    "ChannelGrid",
     "exponential_pdp",
     "time_correlation",
     "freq_correlation",
-    "sample_channel_grid",
     "sample_channel_grids",
 ]
 
@@ -70,21 +71,10 @@ class DopplerSpec:
 
 
 def _fd_ts(doppler) -> float:
-    """Accept a DopplerSpec or a bare nonnegative float."""
-    if isinstance(doppler, DopplerSpec):
-        return float(doppler.fd_ts)
-    fd = float(doppler)
-    if not np.isfinite(fd) or fd < 0.0:
-        raise ValueError("fdTs must be finite and >= 0")
-    return fd
-
-
-@dataclass(frozen=True)
-class ChannelGrid:
-    """One realization: frequency response H (K x T) and taps (L x T)."""
-
-    H: np.ndarray
-    taps: np.ndarray
+    """Accept a DopplerSpec or a bare float, which DopplerSpec validates."""
+    if not isinstance(doppler, DopplerSpec):
+        doppler = DopplerSpec(float(doppler))
+    return float(doppler.fd_ts)
 
 
 def exponential_pdp(n_taps: int, decay: float = 1.0) -> PowerDelayProfile:
@@ -174,9 +164,3 @@ def sample_channel_grids(pdp, doppler, n_subcarriers, n_symbols, n_grids, seed):
     taps = _draw_taps(pdp, doppler, n_subcarriers, n_symbols, n_grids, as_rng(seed))
     H = np.fft.fft(taps, n=n_subcarriers, axis=1)  # zero-padded DFT over delay
     return H, taps
-
-
-def sample_channel_grid(pdp, doppler, n_subcarriers, n_symbols, seed) -> ChannelGrid:
-    """Draw one correlated channel realization on a K x T grid."""
-    H, taps = sample_channel_grids(pdp, doppler, n_subcarriers, n_symbols, 1, seed)
-    return ChannelGrid(H=H[0], taps=taps[0])

@@ -507,17 +507,17 @@ def selftest(verbose: bool = True) -> bool:
         rng = np.random.default_rng(7)
         v = np.exp(2j * np.pi * rng.integers(0, 8, size=(63, 2)) / 8)
         d = modem.differential_encode(v, FDDI)
-        dec = modem.differential_detect(d.d, FDDI, 8)
+        dec = modem.differential_detect(d, FDDI, 8)
         assert np.array_equal(
             dec.hard, np.round(np.angle(v) / (2 * np.pi / 8)).astype(int) % 8
         )
 
     def chain():
         pdp = exponential_pdp(5, 1.0)
-        g = channel.sample_channel_grid(pdp, DopplerSpec(0.05), 64, 2, 11)
+        H, taps = channel.sample_channel_grids(pdp, DopplerSpec(0.05), 64, 2, 1, 11)
         d = np.exp(2j * np.pi * np.random.default_rng(3).random((64, 2)))
-        za = modem.ofdm_time_domain_chain(d, g, 0.1, 13).z
-        zb = modem.fast_rx(d, g, 0.1, 13).z
+        za = modem.ofdm_time_domain_chain(d, taps[0], 0.1, 13).z
+        zb = modem.fast_rx(d, H[0], 0.1, 13).z
         assert np.max(np.abs(za - zb)) / np.max(np.abs(zb)) < 1e-9
 
     def closed_forms():
@@ -544,9 +544,9 @@ def selftest(verbose: bool = True) -> bool:
         gamma = db_to_lin(10.0)
         params = DiffChannelParams(gamma=gamma, rho=0.99, order=4)
         for quad, mc in (
-            (fbl.diff_quadrature_iv(params),
+            (fbl.EquivalentChannel(FDDI, diff=params).iv(),
              fbl.diff_capacity_dispersion(params, 100_000, 41)),
-            (fbl.coherent_quadrature_iv(gamma, qam(16)),
+            (fbl.EquivalentChannel(PA, gamma_hat=gamma, constellation=qam(16)).iv(),
              fbl.coherent_capacity_dispersion(gamma, qam(16), 100_000, 42)),
         ):
             assert abs(quad.i - mc.i) <= 3 * mc.i_stderr, (quad.i, mc.i, mc.i_stderr)

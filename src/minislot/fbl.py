@@ -41,9 +41,11 @@ Gauss-Hermite nodes gives all its atoms without the M candidates ever
 meeting the 2-D plane. The weighted nodes form a discrete per-use law
 (PerUseLaw): (I, V) are its moments, and minislot.bounds reads the IS/DT
 bounds off it. equivalent_channel is the one map from a scheme at an
-operating point to that law. The quadrature carries its truncation
-estimate where Monte Carlo carries a standard error. The samplers and the
-Monte Carlo estimators stay as the reference of both.
+operating point to that law, and EquivalentChannel.iv() the one path to
+its (I, V). Where Monte Carlo carries a standard error, the quadrature
+carries the difference between its 48- and 24-node q rules, which is no
+bound (IvEstimate). The samplers and the Monte Carlo estimators stay as
+the reference of both.
 
 Everything is evaluated in bits with log-sum-exp guarding. The normal
 approximation is available as epsilon and as ln epsilon, which stays finite
@@ -91,8 +93,6 @@ __all__ = [
     "sample_coherent_density",
     "diff_capacity_dispersion",
     "coherent_capacity_dispersion",
-    "diff_quadrature_iv",
-    "coherent_quadrature_iv",
     "fddi_correlation",
     "tddi_correlation",
     "equivalent_channel",
@@ -159,8 +159,11 @@ class IvEstimate:
     """(I, V) with an error scale; part of the result contract.
 
     From Monte Carlo, the errors are standard errors and n_samples counts
-    draws; from quadrature, the errors are the rule's truncation estimate and
-    n_samples counts density evaluations of the production rule.
+    draws. From quadrature, the errors are |Q_NODES - Q_NODES_COARSE| q-rule
+    differences and n_samples counts density evaluations of the production
+    rule. That difference is no bound on the rule's error: it never refines
+    the Gauss-Hermite axis, and at high SNR it mostly carries the coarse q
+    rule's lost mass (see ROADMAP.md, "One q rule with a certified error").
     """
 
     i: float
@@ -174,8 +177,9 @@ class IvEstimate:
 class FblResult:
     """Scheme-level finite-blocklength outcome at one operating point.
 
-    i_stderr and v_stderr are the quadrature's truncation estimate; bounds,
-    when asked for, holds the (IS, DT) BoundEstimates of the same law.
+    i_stderr and v_stderr are IvEstimate's q-rule differences, no bound on
+    the quadrature's error; bounds, when asked for, holds the (IS, DT)
+    BoundEstimates of the same law.
     """
 
     scheme: str
@@ -389,7 +393,7 @@ def sample_coherent_density(
 # is then a function of q ~ Exp(1), the power of that factor, and of one
 # CN(0, 1) variable, integrated by a q rule times a 2-D Gauss-Hermite rule.
 Q_NODES = 48
-Q_NODES_COARSE = 24  # the truncation estimate is |Q_NODES rule - this rule|
+Q_NODES_COARSE = 24  # the error scale is |Q_NODES rule - this rule|, no bound
 GH_NODES = 20
 Q_MAX = 45.0  # P(q > 45) = e^-45
 
@@ -475,11 +479,6 @@ def _diff_law(params: DiffChannelParams, n_nodes: int) -> PerUseLaw:
     return PerUseLaw(dens, wq[:, None] * ww)
 
 
-def diff_quadrature_iv(params: DiffChannelParams) -> IvEstimate:
-    """Deterministic (I, V) of the differential channel."""
-    return _quadrature_iv(lambda n_nodes: _diff_law(params, n_nodes))[0]
-
-
 def _input_classes(constellation: Constellation):
     """One input per symmetry class of the alphabet, with its probability.
 
@@ -533,11 +532,6 @@ def _coherent_law(gamma_hat: float, constellation: Constellation, n_nodes: int) 
         d = reps - pts[:, None]  # (order, classes)
         dens = _coherent_density(gamma_hat, q[:, None, None], w, d[:, None, :, None])
     return PerUseLaw(dens.reshape(q.size, -1), wq[:, None] * (probs[:, None] * ww).ravel())
-
-
-def coherent_quadrature_iv(gamma_hat: float, constellation: Constellation) -> IvEstimate:
-    """Deterministic (I, V) of the coherent fading channel."""
-    return _quadrature_iv(lambda n_nodes: _coherent_law(gamma_hat, constellation, n_nodes))[0]
 
 
 def _iv_from_samples(samples: np.ndarray) -> IvEstimate:
@@ -627,7 +621,7 @@ class EquivalentChannel:
         return _coherent_law(self.gamma_hat, self.constellation, n_nodes)
 
     def iv(self) -> IvEstimate:
-        """(I, V) of law(), with the q rule's truncation estimate."""
+        """(I, V) of law(), with the q-rule difference as error scale."""
         return _quadrature_iv(self.law)[0]
 
     @property

@@ -23,6 +23,7 @@ __all__ = [
     "FDDI",
     "TDDI",
     "SCHEMES",
+    "MINI_SLOT_LENGTHS",
     "ReClass",
     "PilotPattern",
     "MiniSlotGrid",
@@ -34,7 +35,6 @@ __all__ = [
     "PA_CLASSES",
     "source_pilot_symbols",
     "class_map",
-    "class_counts",
     "data_symbol_count",
 ]
 
@@ -97,13 +97,6 @@ class MiniSlotGrid:
                 raise ValueError("delta_sub must divide K")
             if any(t < 1 or t > self.n_symbols for t in p.pilot_symbols):
                 raise ValueError("pilot symbol indices must lie in [1, T]")
-
-    @property
-    def n_pilot_subcarriers(self) -> int:
-        """Pilots per pilot-carrying symbol, lambda_p = K / delta_sub."""
-        if self.pattern is None:
-            raise ValueError("grid has no pilot pattern")
-        return self.n_subcarriers // self.pattern.delta_sub
 
 
 def standard_pattern(n_symbols: int, high_mobility: bool, delta_sub: int) -> PilotPattern:
@@ -171,17 +164,11 @@ def class_map(grid: MiniSlotGrid, scheme: str) -> np.ndarray:
     return _PA_CLASSES[t_role[None, :], k_role[:, None]]
 
 
-def class_counts(grid: MiniSlotGrid, scheme: str) -> list:
-    """Resource elements per class over the whole grid: a list of ints
-    indexed by ReClass."""
-    return np.bincount(class_map(grid, scheme).ravel(), minlength=len(ReClass)).tolist()
-
-
 def data_symbol_count(grid: MiniSlotGrid, scheme: str) -> int:
     """Available data symbols N for one scheme on this grid: every element
     of class_map that is neither a pilot nor a differential reference."""
-    counts = class_counts(grid, scheme)
-    return sum(counts) - counts[ReClass.PILOT] - counts[ReClass.DIFF_REFERENCE]
+    cmap = class_map(grid, scheme)
+    return int(np.count_nonzero((cmap != ReClass.PILOT) & (cmap != ReClass.DIFF_REFERENCE)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +186,6 @@ class Constellation:
     def __post_init__(self):
         if self.order < 2 or (self.order & (self.order - 1)) != 0:
             raise ValueError("constellation order must be a power of 2")
-
-    @property
-    def bits(self) -> float:
-        return float(np.log2(self.order))
 
 
 def psk(order: int) -> Constellation:

@@ -12,6 +12,11 @@ with the time-domain chain injecting its inverse DFT image into the samples.
 White stays white under the unitary-up-to-scaling DFT, so this is just a
 change of basis, and it makes the two paths comparable realization by
 realization rather than only in distribution.
+
+Grids are plain K x T arrays: the transmit symbols d (differential_encode
+returns one), the frequency response H and the L x T taps of one
+realization from channel.sample_channel_grids. The receive paths return an
+RxGrid; the detectors take its samples z.
 """
 
 from __future__ import annotations
@@ -21,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_rng
-from .channel import ChannelGrid
 from .grid import FDDI, TDDI, Constellation
 
 __all__ = [
-    "SymbolGrid",
     "RxGrid",
     "DiffDecision",
     "DegenerateEstimateError",
@@ -39,13 +42,6 @@ __all__ = [
 
 class DegenerateEstimateError(ValueError):
     """Coherent detection hit a zero channel estimate at a data position."""
-
-
-@dataclass(frozen=True)
-class SymbolGrid:
-    """Frequency-domain transmit symbols d (K x T)."""
-
-    d: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,8 +67,8 @@ def _as_matrix(x, name="array") -> np.ndarray:
     return x
 
 
-def differential_encode(v, scheme: str) -> SymbolGrid:
-    """Accumulate PSK symbols into the transmit grid.
+def differential_encode(v, scheme: str) -> np.ndarray:
+    """Accumulate PSK symbols into the transmit grid d (a K x T array).
 
     FDDi: d[k, t] = v[k, t] * d[k-1, t] down each symbol, reference
     d[0, t] = 1. TDDi: the same recursion across symbols with reference
@@ -89,7 +85,7 @@ def differential_encode(v, scheme: str) -> SymbolGrid:
         d = np.cumprod(np.concatenate([ref, v], axis=1), axis=1)
     else:
         raise ValueError(f"differential encoding undefined for scheme {scheme!r}")
-    return SymbolGrid(d=d)
+    return d
 
 
 def _noise_grid(rng, n_subcarriers, n_symbols, noise_var) -> np.ndarray:
@@ -100,21 +96,16 @@ def _noise_grid(rng, n_subcarriers, n_symbols, noise_var) -> np.ndarray:
     return w * np.sqrt(noise_var / 2.0)
 
 
-def _taps_matrix(channel) -> np.ndarray:
-    taps = channel.taps if isinstance(channel, ChannelGrid) else channel
-    return _as_matrix(np.asarray(taps, dtype=complex), "taps")
-
-
-def ofdm_time_domain_chain(d, channel, noise_var: float, seed) -> RxGrid:
+def ofdm_time_domain_chain(d, taps, noise_var: float, seed) -> RxGrid:
     """Full OFDM chain: IDFT, CP of length L, tap convolution, CP strip, DFT.
 
     The CP makes the linear tap convolution circular within each symbol, so
-    the output equals H[k, t] * d[k, t] + W[k, t] up to floating point. K
-    must be a power of two (FFT-friendly grid sizes only) and larger than
-    the channel memory.
+    the output equals H[k, t] * d[k, t] + W[k, t] up to floating point,
+    with H the K-point DFT of the L x T taps. K must be a power of two
+    (FFT-friendly grid sizes only) and larger than the channel memory.
     """
-    d = _as_matrix(np.asarray(d.d if isinstance(d, SymbolGrid) else d, dtype=complex), "d")
-    taps = _taps_matrix(channel)
+    d = _as_matrix(np.asarray(d, dtype=complex), "d")
+    taps = _as_matrix(np.asarray(taps, dtype=complex), "taps")
     K, T = d.shape
     L = taps.shape[0]
     if taps.shape[1] != T:
@@ -137,11 +128,10 @@ def ofdm_time_domain_chain(d, channel, noise_var: float, seed) -> RxGrid:
     return RxGrid(z=z, noise_var=float(noise_var))
 
 
-def fast_rx(d, channel, noise_var: float, seed) -> RxGrid:
+def fast_rx(d, H, noise_var: float, seed) -> RxGrid:
     """Equivalent per-subcarrier receive model z = H * d + W."""
-    d = _as_matrix(np.asarray(d.d if isinstance(d, SymbolGrid) else d, dtype=complex), "d")
-    H = channel.H if isinstance(channel, ChannelGrid) else np.asarray(channel, dtype=complex)
-    H = _as_matrix(H, "H")
+    d = _as_matrix(np.asarray(d, dtype=complex), "d")
+    H = _as_matrix(np.asarray(H, dtype=complex), "H")
     if H.shape != d.shape:
         raise ValueError(f"channel {H.shape} and symbols {d.shape} do not match")
     z = H * d
@@ -158,7 +148,7 @@ def differential_detect(z, scheme: str, order: int) -> DiffDecision:
     index nearest to arg(a) with wrapped angular distance. Ties and exact
     zero statistics resolve to the lowest index.
     """
-    z = _as_matrix(np.asarray(z.z if isinstance(z, RxGrid) else z, dtype=complex), "z")
+    z = _as_matrix(np.asarray(z, dtype=complex), "z")
     if scheme == FDDI:
         a = z[1:, :] * np.conj(z[:-1, :])
     elif scheme == TDDI:
@@ -179,7 +169,7 @@ def coherent_detect(z, h_hat, constellation: Constellation) -> np.ndarray:
     Ties resolve to the lowest constellation index. A zero estimate leaves
     the decision undefined and raises DegenerateEstimateError.
     """
-    z = np.asarray(z.z if isinstance(z, RxGrid) else z, dtype=complex)
+    z = np.asarray(z, dtype=complex)
     h_hat = np.asarray(h_hat, dtype=complex)
     if h_hat.shape != z.shape:
         raise ValueError("estimate grid must match the received grid")

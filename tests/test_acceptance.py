@@ -25,7 +25,7 @@ from minislot.bounds import (
 from minislot.channel import (
     DopplerSpec,
     exponential_pdp,
-    sample_channel_grid,
+    sample_channel_grids,
 )
 from minislot.chanest import (
     channel_estimation_mse,
@@ -105,8 +105,8 @@ def test_criterion_1_bound_sandwich():
             sampler = _density_sampler(scheme, gamma, 0.01,
                                        gamma_hat=res.gamma_hat)
             blocks = block_density_samples(sampler, n, 1_000_000, seed_bounds)
-            lo = is_lower_bound(sampler, n, b, block_samples=blocks)
-            hi = dt_upper_bound(sampler, n, b, block_samples=blocks)
+            lo = is_lower_bound(blocks, b)
+            hi = dt_upper_bound(blocks, b)
             ok = (lo.value - 2 * lo.stderr <= eps <= hi.value + 2 * hi.stderr)
             line = (
                 f"{scheme} {gamma_db:g}dB B={b}: "
@@ -293,10 +293,10 @@ def test_criterion_6_chain_equivalence():
     multiplicative model to 1e-9 relative, elementwise, shared seeds."""
     rng = np.random.default_rng(5)
     for K in (64, 256):
-        grid = sample_channel_grid(PDP, DopplerSpec(0.05), K, 4, seed=21)
+        H, taps = sample_channel_grids(PDP, DopplerSpec(0.05), K, 4, 1, seed=21)
         d = np.exp(2j * np.pi * rng.random((K, 4)))
-        z_time = ofdm_time_domain_chain(d, grid, 0.3, seed=77).z
-        z_fast = fast_rx(d, grid, 0.3, seed=77).z
+        z_time = ofdm_time_domain_chain(d, taps[0], 0.3, seed=77).z
+        z_fast = fast_rx(d, H[0], 0.3, seed=77).z
         rel = np.abs(z_time - z_fast) / np.maximum(np.abs(z_fast), 1e-30)
         print(f"K={K}: max relative gap {rel.max():.2e}")
         assert rel.max() <= 1e-9

@@ -40,16 +40,6 @@ def _counting_sampler(n, rng):
     return np.arange(n, dtype=float)
 
 
-def fixed_sampler(values):
-    values = np.asarray(values, dtype=float)
-
-    def sampler(n, rng):
-        assert n == values.size
-        return values
-
-    return sampler
-
-
 def test_block_density_reshape_and_sum():
     got = block_density_samples(_counting_sampler, 3, 2, seed=0)
     np.testing.assert_array_equal(got, [0 + 1 + 2, 3 + 4 + 5])
@@ -68,9 +58,7 @@ def test_is_bound_hand_case():
     # blocks with densities 1, 2, 3 bits against B = 10 info bits:
     # objective k/n - 2^(s_k - B) peaks at the largest sample,
     # 3/3 - 2^-7 = 0.9921875, with an exact empirical cdf of 1 there.
-    est = is_lower_bound(
-        fixed_sampler([1.0, 2.0, 3.0]), 3, 10, block_samples=np.array([1.0, 2.0, 3.0])
-    )
+    est = is_lower_bound(np.array([1.0, 2.0, 3.0]), 10)
     assert est.kind == "IS"
     assert est.value == 1.0 - 2.0 ** (3 - 10)
     assert est.log2_beta_star == 3.0
@@ -80,9 +68,7 @@ def test_is_bound_hand_case():
 
 def test_is_bound_clamps_at_zero():
     # all mass far above the 2^-B knee: objective negative everywhere
-    est = is_lower_bound(
-        fixed_sampler([1.0, 1.5]), 2, 1, block_samples=np.array([1.0, 1.5])
-    )
+    est = is_lower_bound(np.array([1.0, 1.5]), 1)
     assert est.value == 0.0
 
 
@@ -95,7 +81,7 @@ def test_is_bound_matches_brute_force_search():
         val = (k + 1) / n - 2.0 ** (s[k] - 18)
         if val > best_val:
             best_val, best_log2beta = val, s[k]
-    est = is_lower_bound(fixed_sampler(s), 1, 18, block_samples=s)
+    est = is_lower_bound(s, 18)
     assert est.value == pytest.approx(best_val, abs=1e-15)
     assert est.log2_beta_star == best_log2beta
 
@@ -112,7 +98,7 @@ def test_dt_bound_hand_case():
     # B = 1: threshold log2(1/2) = -1; samples -2, 0, 3 give
     # exceedances 0, 1, 4 bits -> mean(1, 1/2, 1/16)
     s = np.array([-2.0, 0.0, 3.0])
-    est = dt_upper_bound(fixed_sampler(s), 3, 1, block_samples=s)
+    est = dt_upper_bound(s, 1)
     assert est.kind == "DT"
     assert est.value == pytest.approx((1 + 0.5 + 0.0625) / 3, abs=1e-15)
     assert est.log2_beta_star is None
@@ -126,11 +112,11 @@ def test_bounds_monotone_in_payload():
     rng = np.random.default_rng(4)
     s = rng.normal(30.0, 6.0, size=20_000)
     is_vals = [
-        is_lower_bound(fixed_sampler(s), 1, b, block_samples=s).value
+        is_lower_bound(s, b).value
         for b in (20, 25, 30, 35)
     ]
     dt_vals = [
-        dt_upper_bound(fixed_sampler(s), 1, b, block_samples=s).value
+        dt_upper_bound(s, b).value
         for b in (20, 25, 30, 35)
     ]
     assert all(b2 >= b1 for b1, b2 in zip(is_vals, is_vals[1:]))
@@ -138,25 +124,12 @@ def test_bounds_monotone_in_payload():
     assert all(lo <= hi for lo, hi in zip(is_vals, dt_vals))
 
 
-def test_shared_block_samples_equal_generated():
-    params = DiffChannelParams(gamma=2.0, rho=0.95, order=4)
-    sampler = lambda n, rng: sample_diff_density(params, n, rng)
-    blocks = block_density_samples(sampler, 16, 100_000, seed=9)
-    lo_gen = is_lower_bound(sampler, 16, 12, n_samples=100_000, seed=9)
-    lo_shared = is_lower_bound(sampler, 16, 12, block_samples=blocks)
-    assert lo_gen.value == lo_shared.value
-    assert lo_gen.log2_beta_star == lo_shared.log2_beta_star
-    hi_gen = dt_upper_bound(sampler, 16, 12, n_samples=100_000, seed=9)
-    hi_shared = dt_upper_bound(sampler, 16, 12, block_samples=blocks)
-    assert hi_gen.value == hi_shared.value
-
-
 def test_bounds_sandwich_on_differential_channel():
     params = DiffChannelParams(gamma=1.585, rho=0.98, order=4)
     sampler = lambda n, rng: sample_diff_density(params, n, rng)
     blocks = block_density_samples(sampler, 24, 100_000, seed=13)
-    lo = is_lower_bound(sampler, 24, 18, block_samples=blocks)
-    hi = dt_upper_bound(sampler, 24, 18, block_samples=blocks)
+    lo = is_lower_bound(blocks, 18)
+    hi = dt_upper_bound(blocks, 18)
     assert 0.0 < lo.value
     assert lo.value <= hi.value <= 1.0
     assert hi.stderr > 0.0
@@ -169,14 +142,9 @@ def test_bound_input_validation():
     with pytest.raises(ValueError):
         block_density_samples(_counting_sampler, 5, 0, seed=0)
     with pytest.raises(ValueError):
-        is_lower_bound(fixed_sampler(s), 10, 0, block_samples=s)
+        is_lower_bound(s, 0)
     with pytest.raises(ValueError):
-        # generating internally requires a serious sample count
-        is_lower_bound(lambda n, rng: rng.standard_normal(n), 4, 4,
-                       n_samples=50_000, seed=0)
-    with pytest.raises(ValueError):
-        dt_upper_bound(lambda n, rng: rng.standard_normal(n), 4, 4,
-                       n_samples=99_999, seed=0)
+        dt_upper_bound(s, 0)
     for densities, weights, n_uses, b in (
         ([0.0, 1.0], [0.5], 4, 4),  # one weight per density
         ([0.0, 1.0], [1.5, -0.5], 4, 4),
@@ -301,8 +269,8 @@ def test_lattice_bounds_agree_with_monte_carlo(channel, sampler, b):
     law = channel.law()
     lo, hi = lattice_bounds(law.densities, law.weights, 24, b)
     blocks = block_density_samples(sampler, 24, 200_000, seed=21)
-    mc_lo = is_lower_bound(sampler, 24, b, block_samples=blocks)
-    mc_hi = dt_upper_bound(sampler, 24, b, block_samples=blocks)
+    mc_lo = is_lower_bound(blocks, b)
+    mc_hi = dt_upper_bound(blocks, b)
     assert 1e-3 < lo.value < hi.value < 0.9
     assert abs(lo.value - mc_lo.value) <= 3 * mc_lo.stderr + lo.stderr, (lo, mc_lo)
     assert abs(hi.value - mc_hi.value) <= 3 * mc_hi.stderr + hi.stderr, (hi, mc_hi)

@@ -8,7 +8,6 @@ from minislot.channel import (
     PowerDelayProfile,
     exponential_pdp,
     freq_correlation,
-    sample_channel_grid,
     sample_channel_grids,
     time_correlation,
 )
@@ -59,6 +58,14 @@ def test_time_correlation_matches_bessel_series():
     )
 
 
+@pytest.mark.parametrize("fd_ts", (np.nan, np.inf, -0.01))
+@pytest.mark.parametrize("wrap", (float, DopplerSpec), ids=("float", "DopplerSpec"))
+def test_time_correlation_rejects_bad_fd_ts(fd_ts, wrap):
+    """A float and a DopplerSpec meet the one validation rule."""
+    with pytest.raises(ValueError, match=r"^fdTs must be finite and >= 0$"):
+        time_correlation(1, wrap(fd_ts))
+
+
 def test_time_correlation_vectorizes():
     dts = np.arange(7)
     vals = time_correlation(dts, DopplerSpec(0.05))
@@ -104,9 +111,9 @@ def test_sample_grid_shapes_and_determinism():
     H2, taps2 = sample_channel_grids(pdp, DopplerSpec(0.05), 64, 4, 10, seed=3)
     assert np.array_equal(H, H2)
     assert np.array_equal(taps, taps2)
-    g = sample_channel_grid(pdp, DopplerSpec(0.05), 64, 4, seed=3)
-    g2 = sample_channel_grid(pdp, DopplerSpec(0.05), 64, 4, seed=3)
-    assert np.array_equal(g.H, g2.H)
+    H1, _ = sample_channel_grids(pdp, DopplerSpec(0.05), 64, 4, 1, seed=3)
+    H1b, _ = sample_channel_grids(pdp, DopplerSpec(0.05), 64, 4, 1, seed=3)
+    assert np.array_equal(H1, H1b)
 
 
 def test_sample_grid_rejects_too_few_subcarriers():
@@ -126,11 +133,11 @@ def test_static_channel_is_exactly_constant_in_time():
 
 def test_h_is_dft_of_taps():
     pdp = exponential_pdp(4, 1.0)
-    g = sample_channel_grid(pdp, DopplerSpec(0.1), 32, 2, seed=9)
+    H, taps = sample_channel_grids(pdp, DopplerSpec(0.1), 32, 2, 1, seed=9)
     k = np.arange(32)[:, None]
     l = np.arange(4)[None, :]
     F = np.exp(-2j * np.pi * k * l / 32)
-    assert np.allclose(g.H, F @ g.taps, atol=1e-12)
+    assert np.allclose(H[0], F @ taps[0], atol=1e-12)
 
 
 def test_sample_statistics_match_model():

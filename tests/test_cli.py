@@ -728,3 +728,21 @@ def test_benchmark_interface():
         ("modem", "ofdm_time_domain_chain"), ("modem", "fast_rx"),
     ):
         assert callable(getattr(getattr(minislot, module), name)), (module, name)
+    # perfbench/make_reference.py reads these from the package; no test runs
+    # it (2e7 draws per point), so a missing name would otherwise go unseen
+    for name in (
+        "sample_diff_density", "sample_coherent_density", "fddi_correlation",
+        "tddi_correlation", "effective_snr", "default_constellation",
+        "DiffChannelParams", "channel_estimation_mse", "MiniSlotGrid",
+        "standard_pattern", "exponential_pdp", "SCHEMES", "__version__",
+        "DopplerSpec", "ModelFidelityWarning", "PA", "FDDI",
+    ):
+        assert hasattr(minislot, name), name
+    # the package re-exports each layer's __all__ and nothing else
+    names = minislot.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        getattr(minislot, name)
+    layers = ("channel", "grid", "modem", "chanest", "fbl", "bounds")
+    want = [n for layer in layers for n in getattr(minislot, layer).__all__]
+    assert sorted(names) == sorted([*want, *minislot._CLI_NAMES, "__version__"])

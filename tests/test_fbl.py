@@ -23,9 +23,7 @@ from minislot.fbl import (
     _iv_from_samples,
     awgn_capacity_dispersion,
     coherent_capacity_dispersion,
-    coherent_quadrature_iv,
     diff_capacity_dispersion,
-    diff_quadrature_iv,
     diff_transition_logpdf,
     equivalent_channel,
     fddi_correlation,
@@ -289,10 +287,11 @@ def test_coherent_iv_matches_quadrature_oracle():
 
 def test_quadrature_matches_frozen_oracles():
     """The production rule lands inside each oracle's own refinement delta."""
-    diff = diff_quadrature_iv(DiffChannelParams(**oracles.DIFF_POINT))
+    diff = EquivalentChannel(FDDI, diff=DiffChannelParams(**oracles.DIFF_POINT)).iv()
     assert abs(diff.i - oracles.DIFF_GH60[0]) <= oracles.DIFF_GH_DELTA[0]
     assert abs(diff.v - oracles.DIFF_GH60[1]) <= oracles.DIFF_GH_DELTA[1]
-    bpsk = coherent_quadrature_iv(oracles.BPSK_POINT["gamma_hat"], psk(2))
+    bpsk = EquivalentChannel(PA, gamma_hat=oracles.BPSK_POINT["gamma_hat"],
+                             constellation=psk(2)).iv()
     assert abs(bpsk.i - oracles.BPSK_QUAD[0]) <= oracles.BPSK_QUAD_DELTA[0]
     assert abs(bpsk.v - oracles.BPSK_QUAD[1]) <= oracles.BPSK_QUAD_DELTA[1]
 
@@ -331,7 +330,8 @@ def test_diff_quadrature_agrees_with_monte_carlo(order):
             lambda n, rng: sample_diff_density(params, n, rng), seed=100 * order + k
         )
         failures += _disagreements(
-            diff_quadrature_iv(params), mc, f"M={order} {gamma_db:g}dB rho={rho}"
+            EquivalentChannel(FDDI, diff=params).iv(), mc,
+            f"M={order} {gamma_db:g}dB rho={rho}"
         )
     assert not failures, "\n".join(failures)
 
@@ -347,7 +347,7 @@ def test_coherent_quadrature_agrees_with_monte_carlo(constellation):
             seed=1000 + 10 * constellation.order + k,
         )
         failures += _disagreements(
-            coherent_quadrature_iv(gamma_hat, constellation), mc,
+            EquivalentChannel(PA, gamma_hat=gamma_hat, constellation=constellation).iv(), mc,
             f"{constellation.kind}{constellation.order} {gamma_db:g}dB",
         )
     assert not failures, "\n".join(failures)
@@ -363,8 +363,8 @@ def test_quadrature_symmetry_reduction_matches_all_inputs():
     for const, tol in ((qam(4), 1e-12), (qam(16), 1e-12), (psk(8), 2e-5)):
         full = Constellation(kind="generic", order=const.order, points=const.points)
         for gamma_hat in (0.5, 3.0, 30.0):
-            a = coherent_quadrature_iv(gamma_hat, const)
-            b = coherent_quadrature_iv(gamma_hat, full)
+            a = EquivalentChannel(PA, gamma_hat=gamma_hat, constellation=const).iv()
+            b = EquivalentChannel(PA, gamma_hat=gamma_hat, constellation=full).iv()
             assert a.i == pytest.approx(b.i, abs=tol), (const.kind, const.order, gamma_hat)
             assert a.v == pytest.approx(b.v, abs=tol), (const.kind, const.order, gamma_hat)
 
@@ -486,7 +486,7 @@ def test_factorised_qam_law_agrees_with_monte_carlo():
     gamma_hat = db_to_lin(10.0)
     mc = _monte_carlo_iv(lambda n, rng: sample_coherent_density(gamma_hat, qam(64), n, rng),
                          seed=1640, n=400_000, chunks=8)
-    quad = coherent_quadrature_iv(gamma_hat, qam(64))
+    quad = EquivalentChannel(PA, gamma_hat=gamma_hat, constellation=qam(64)).iv()
     assert abs(quad.i - mc.i) <= 3 * mc.i_stderr, (quad, mc)
     assert abs(quad.v - mc.v) <= 3 * mc.v_stderr, (quad, mc)
 

@@ -51,9 +51,10 @@ def test_grid_validation():
 
 
 def test_pilot_count():
-    assert make_grid(64, 2, 2).n_pilot_subcarriers == 32
-    assert make_grid(64, 2, 4).n_pilot_subcarriers == 16
-    assert make_grid(256, 4, 2).n_pilot_subcarriers == 128
+    """lambda_p = K / delta_sub pilots on the pilot-carrying symbol."""
+    for K, T, delta_sub, want in ((64, 2, 2, 32), (64, 2, 4, 16), (256, 4, 2, 128)):
+        pilots = class_map(make_grid(K, T, delta_sub), PA)[:, 0] == ReClass.PILOT
+        assert np.count_nonzero(pilots) == want
 
 
 def _cls(cmap, k, t):
@@ -132,7 +133,7 @@ def test_classification_partitions_grid():
         grid = MiniSlotGrid(K, T, standard_pattern(T, high, delta_sub))
         expect = {
             # data = everything except pilots / the reference column or row
-            PA: K * T - grid.n_pilot_subcarriers * len(grid.pattern.pilot_symbols),
+            PA: K * T - K // delta_sub * len(grid.pattern.pilot_symbols),
             FDDI: (K - 1) * T,
             TDDI: K * (T - 1),
         }
@@ -156,7 +157,7 @@ def test_data_symbol_counts_standard_cases():
 
 def test_psk_points():
     c = psk(4)
-    assert c.order == 4 and c.bits == 2.0
+    assert c.order == 4
     assert np.allclose(np.abs(c.points), 1.0)
     assert c.points[0] == pytest.approx(1.0)
     # eighth roots of unity, distinct
